@@ -15,6 +15,7 @@
  * across --jobs and --sa-threads.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
@@ -38,11 +39,15 @@ main(int argc, char **argv)
     ParallelRunner runner(opt.jobs, opt.sweepOptions("cpistack"));
     const std::vector<RunResult> res = runner.run(jobs);
 
+    // Rows are built first so the column width fits the longest cell
+    // (bucket names such as mshr_backpressure, labels such as
+    // spmv/LazyCore+1); an empty row separates the workloads.
+    std::vector<std::vector<std::string>> rows;
     std::vector<std::string> header{"workload/mode"};
     for (unsigned i = 0; i < cycacct::numBuckets; ++i)
         header.push_back(
             cycacct::bucketName(static_cast<cycacct::Bucket>(i)));
-    printRow(header, 14);
+    rows.push_back(std::move(header));
 
     std::size_t idx = 0;
     for (const std::string &w : cpistack::workloads()) {
@@ -61,9 +66,22 @@ main(int argc, char **argv)
                               static_cast<double>(total))
                         : std::string("-"));
             }
-            printRow(row, 14);
+            rows.push_back(std::move(row));
         }
-        std::printf("\n");
+        rows.emplace_back();
+    }
+
+    std::size_t longest = 0;
+    for (const auto &row : rows) {
+        for (const std::string &cell : row)
+            longest = std::max(longest, cell.size());
+    }
+    const unsigned width = static_cast<unsigned>(longest) + 2;
+    for (const auto &row : rows) {
+        if (row.empty())
+            std::printf("\n");
+        else
+            printRow(row, width);
     }
 
     writeBenchJson("cpistack", cpistack::buildDoc(quick, res));

@@ -1,12 +1,8 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
-#include "gpu/coalescer.hh"
 #include "inject/fault.hh"
-#include "isa/encoding.hh"
 #include "sim/logging.hh"
 
 #ifdef LAZYGPU_CHECK
@@ -15,27 +11,6 @@
 
 namespace lazygpu
 {
-
-namespace
-{
-
-float
-asF(std::uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
-}
-
-std::uint32_t
-asU(float f)
-{
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    return bits;
-}
-
-} // namespace
 
 namespace
 {
@@ -56,50 +31,22 @@ ComputeUnit::ComputeUnit(Engine &engine, StatsRegistry &stats,
                          GlobalMemory &mem, MemoryHierarchy &hier,
                          unsigned cu_id, unsigned sa_id, TraceSink *trace)
     : engine_(engine), stats_(stats), lifecycle_(lifecycle),
-      trace_(trace), cfg_(cfg), mem_(mem), hier_(hier),
-      cu_id_(cu_id), sa_id_(sa_id), mode_(cfg.mode),
-      simd_busy_(cfg.simdPerCu, 0), ready_per_simd_(cfg.simdPerCu, 0),
-      valu_insts_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                "valu_insts")),
-      salu_insts_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                "salu_insts")),
+      trace_(trace), cfg_(cfg), hier_(hier), cu_id_(cu_id),
+      sa_id_(sa_id), mode_(cfg.mode), simd_busy_(cfg.simdPerCu, 0),
+      ready_per_simd_(cfg.simdPerCu, 0),
       simd_busy_cycles_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
                                       "simd_busy_cycles")),
-      load_insts_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                "load_insts")),
-      store_insts_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                 "store_insts")),
-      txs_issued_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                "txs_issued")),
-      txs_completed_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                   "txs_completed")),
-      txs_elim_zero_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                   "txs_elim_zero")),
-      txs_elim_otimes_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                     "txs_elim_otimes")),
-      txs_elim_dead_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                   "txs_elim_dead")),
-      txs_eager_fallback_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                        "txs_eager_fallback")),
-      store_txs_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                               "store_txs")),
-      store_txs_zero_skipped_(stats.counter(
-          cuPrefix(cfg, cu_id, sa_id) + "store_txs_zero_skipped")),
-      mask_reads_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                "mask_reads")),
-      mask_writes_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                 "mask_writes")),
-      zc_short_circuits_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                       "zc_short_circuits")),
-      lanes_zeroed_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                  "lanes_zeroed")),
-      lanes_suspended_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
-                                     "lanes_suspended")),
+      lazy_(cfg, mem, stats, cuPrefix(cfg, cu_id, sa_id), *this, &engine,
+            &lifecycle),
       // One shared latency distribution per engine domain: keeping the
       // sample (summation) order identical across configurations pins
       // the golden avgMemLatency digits.
       mem_latency_(mem_latency)
 {
+    panic_if(hier.hasZeroCaches() !=
+                 (cfg.l1Zero.size > 0 && cfg.l2Zero.size > 0),
+             "cu.%u: the Lazy Unit and the hierarchy disagree on whether "
+             "Zero Caches exist", cu_id);
 }
 
 void
@@ -232,22 +179,6 @@ ComputeUnit::tick()
             return;
         }
     }
-    if (cyc_) {
-        tickAccounted(now);
-        return;
-    }
-    for (unsigned s = 0; s < cfg_.simdPerCu; ++s) {
-        if (simd_busy_[s] > now || ready_per_simd_[s] == 0)
-            continue;
-        Wavefront *wave = pickWave(s);
-        if (wave)
-            executeOne(*wave, s);
-    }
-}
-
-void
-ComputeUnit::tickAccounted(Tick now)
-{
     bool busy = false;
     for (unsigned s = 0; s < cfg_.simdPerCu; ++s) {
         if (simd_busy_[s] > now) {
@@ -256,20 +187,22 @@ ComputeUnit::tickAccounted(Tick now)
         }
         if (ready_per_simd_[s] == 0)
             continue;
-        Wavefront *wave = pickWave(s);
-        if (wave) {
+        if (Wavefront *wave = pickWave(s)) {
             executeOne(*wave, s);
             busy = true;
         }
     }
-    cyc_->chargeCycle(busy ? cycacct::Bucket::Busy
-                           : cycacct::Bucket::ScoreboardWait,
-                      now);
-    // Execution may have stalled or retired the last ready wave; the
-    // engine will not tick this CU again until something wakes it, so
-    // classify the gap that starts next cycle.
-    if (ready_waves_ == 0)
-        cyc_->setGapClass(classifyStall());
+    if (cyc_) {
+        // Busy when any SIMD executed or was mid-execution.
+        cyc_->chargeCycle(busy ? cycacct::Bucket::Busy
+                               : cycacct::Bucket::ScoreboardWait,
+                          now);
+        // Execution may have stalled or retired the last ready wave; the
+        // engine will not tick this CU again until something wakes it,
+        // so classify the gap that starts next cycle.
+        if (ready_waves_ == 0)
+            cyc_->setGapClass(classifyStall());
+    }
 }
 
 cycacct::Bucket
@@ -341,23 +274,6 @@ ComputeUnit::setDispatchExhausted(bool exhausted)
     restallIfQuiescent();
 }
 
-std::uint32_t
-ComputeUnit::readSrc(const Wavefront &wave, const Src &s,
-                     unsigned lane) const
-{
-    switch (s.kind) {
-      case SrcKind::VReg:
-        return wave.vreg(s.value, lane);
-      case SrcKind::SReg:
-        return wave.sregs[s.value];
-      case SrcKind::Imm:
-        return s.value;
-      case SrcKind::None:
-        return 0;
-    }
-    return 0;
-}
-
 void
 ComputeUnit::executeOne(Wavefront &wave, unsigned simd)
 {
@@ -368,662 +284,145 @@ ComputeUnit::executeOne(Wavefront &wave, unsigned simd)
     verif::checkWavefront(wave, mode_);
 #endif
 
-    if (isScalar(inst.op)) {
-        executeScalar(wave, inst);
-        simd_busy_[simd] = now + 1;
-        ++simd_busy_cycles_;
-        return;
-    }
-    if (isLoad(inst.op)) {
-        executeLoad(wave, inst);
-        if (wave.status == WaveStatus::Ready) {
-            simd_busy_[simd] = now + 1;
-            ++simd_busy_cycles_;
-        }
-        return;
-    }
-    if (isStore(inst.op)) {
-        executeStore(wave, inst);
-        if (wave.status == WaveStatus::Ready) {
-            simd_busy_[simd] = now + 1;
-            ++simd_busy_cycles_;
-        }
-        return;
-    }
-
     // VALU: a 64-lane wavefront occupies the 16-wide SIMD for 4 cycles.
-    executeValu(wave, inst);
-    if (wave.status == WaveStatus::Ready) {
-        simd_busy_[simd] = now + cfg_.aluLatency;
-        wave.nextIssue = now + cfg_.aluLatency;
-        simd_busy_cycles_ += cfg_.aluLatency;
-    }
-}
-
-void
-ComputeUnit::executeScalar(Wavefront &wave, const Instruction &inst)
-{
-    ++salu_insts_;
-    const std::uint32_t a = readSrc(wave, inst.src0, 0);
-    const std::uint32_t b = readSrc(wave, inst.src1, 0);
-
-    switch (inst.op) {
-      case Opcode::SMov:
-        wave.sregs[inst.dst] = a;
-        break;
-      case Opcode::SAddU32:
-        wave.sregs[inst.dst] = a + b;
-        break;
-      case Opcode::SMulU32:
-        wave.sregs[inst.dst] = a * b;
-        break;
-      case Opcode::SCmpLtU32:
-        wave.scc = a < b;
-        break;
-      case Opcode::SCBranch1:
-        wave.pc = wave.scc ? static_cast<unsigned>(inst.target)
-                           : wave.pc + 1;
-        return;
-      case Opcode::SCBranch0:
-        wave.pc = !wave.scc ? static_cast<unsigned>(inst.target)
-                            : wave.pc + 1;
-        return;
-      case Opcode::SBranch:
-        wave.pc = static_cast<unsigned>(inst.target);
-        return;
-      case Opcode::SEndpgm:
-        retire(wave);
-        return;
-      default:
-        panic("unhandled scalar opcode %s", opcodeName(inst.op).c_str());
-    }
-    ++wave.pc;
-}
-
-bool
-ComputeUnit::counterpartZero(const Wavefront &wave,
-                             const Instruction &inst, unsigned reg,
-                             unsigned lane) const
-{
-    // The counterpart operand of each otimes source (Sec 4.3): the
-    // result is unaffected by src0's value in lanes where src1 is zero,
-    // and vice versa.
-    if (!isOtimes(inst.op) || !hasOtimesElimination(mode_))
-        return false;
-    const Src *other = nullptr;
-    if (inst.src0.kind == SrcKind::VReg && inst.src0.value == reg)
-        other = &inst.src1;
-    else if (inst.src1.kind == SrcKind::VReg && inst.src1.value == reg)
-        other = &inst.src0;
-    if (!other || other->kind == SrcKind::None)
-        return false;
-    if (other->kind == SrcKind::VReg &&
-        wave.regState(other->value, lane) != RegState::Ready) {
-        return false; // counterpart value unknown: cannot suspend
-    }
-    return readSrc(wave, *other, lane) == 0;
-}
-
-void
-ComputeUnit::trySuspend(Wavefront &wave, const Instruction &inst,
-                        unsigned reg)
-{
-    PendingLoad *pl = wave.pendingFor(reg);
-    if (!pl || !wave.anyNotReady(reg))
-        return;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (wave.regState(reg, lane) != RegState::Pending)
-            continue;
-        if (!counterpartZero(wave, inst, reg, lane))
-            continue;
-        wave.setRegState(reg, lane, RegState::Suspended);
-        ++lanes_suspended_;
-        lifecycle_.suspended(engine_.now() - pl->recordTick);
-        if (auto *tx = pl->txFor(pl->wordAddr(reg - pl->firstDst, lane)))
-            tx->hadSuspended = true;
-    }
-}
-
-void
-ComputeUnit::issueSoonNeeded(Wavefront &wave)
-{
-    if (wave.pendings().empty())
-        return;
-
-    // Decode runs ahead of execute, so the Lazy Unit sees the next few
-    // straight-line instructions; this is where otimes instructions are
-    // identified (Sec 4.3). Pending loads consumed inside the window
-    // are issued together (the bundled stall GCN's s_waitcnt implies);
-    // later consumers (software-pipelined prefetches) stay lazy.
-    constexpr unsigned look_ahead = 12;
-    const auto &code = wave.kernel().code;
-
-    // Reused scratch: issue ids plus an epoch-stamped per-vreg "seen"
-    // set, so neither is reallocated (or even cleared) per issue.
-    const unsigned nvregs = wave.kernel().numVregs;
-    std::vector<unsigned> &issue_ids = scratch_issue_ids_;
-    issue_ids.clear();
-    if (seen_stamp_.size() < nvregs)
-        seen_stamp_.resize(nvregs, 0);
-    if (++seen_epoch_ == 0) {
-        std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-        seen_epoch_ = 1;
-    }
-
-    auto consider = [&](unsigned reg, const Instruction &inst,
-                        bool otimes_src) {
-        if (reg >= nvregs || seen_stamp_[reg] == seen_epoch_)
-            return;
-        seen_stamp_[reg] = seen_epoch_;
-        PendingLoad *pl = wave.pendingFor(reg);
-        if (!pl)
-            return;
-        if (otimes_src)
-            trySuspend(wave, inst, reg);
-        const bool has_pending = wave.pendingMask(reg) != 0;
-        if (has_pending &&
-            std::find(issue_ids.begin(), issue_ids.end(), pl->id) ==
-                issue_ids.end()) {
-            issue_ids.push_back(pl->id);
-        }
-    };
-
-    unsigned pc = wave.pc;
-    for (unsigned i = 0; i < look_ahead && pc < code.size(); ++i, ++pc) {
-        const Instruction &inst = code[pc];
-        if (isBranch(inst.op) || inst.op == Opcode::SEndpgm)
-            break;
-        if (isScalar(inst.op))
-            continue;
-        const bool otimes = isOtimes(inst.op);
-        if (inst.src0.kind == SrcKind::VReg)
-            consider(inst.src0.value, inst, otimes);
-        if (inst.src1.kind == SrcKind::VReg)
-            consider(inst.src1.value, inst, otimes);
-        if (inst.op == Opcode::VMacF32)
-            consider(inst.dst, inst, false); // accumulator read
-        if (isStore(inst.op)) {
-            for (unsigned r = 0; r < storeBytes(inst.op) / 4; ++r)
-                consider(inst.src2.value + r, inst, false);
-        }
-    }
-
-    for (unsigned id : issue_ids) {
-        auto it = wave.pendings().find(id);
-        if (it == wave.pendings().end())
-            continue;
-        if (it->second.masksOutstanding > 0) {
-            // Fig 7: the Read Req may only be issued once the Zero
-            // Read Rsp is back; park until the masks arrive.
-            it->second.issueRequested = true;
-        } else {
-            issuePendingLoad(wave, it->second);
-        }
-    }
-}
-
-bool
-ComputeUnit::ensureReady(Wavefront &wave, const Instruction &inst,
-                         const std::vector<unsigned> &regs)
-{
-    bool any_busy = false;
-    for (unsigned reg : regs) {
-        if (!wave.anyNotReady(reg))
-            continue; // every lane Ready: skip the per-lane scan
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            switch (wave.regState(reg, lane)) {
-              case RegState::Ready:
-                break;
-              case RegState::InFlight:
-              case RegState::Pending:
-                any_busy = true;
-                break;
-              case RegState::Suspended:
-                if (!counterpartZero(wave, inst, reg, lane)) {
-                    if (cfg_.injectSkipSuspendRequalify)
-                        break; // injected fault: lane wrongly reads as 0
-                    // Requalify: the data is needed after all.
-                    wave.setRegState(reg, lane, RegState::Pending);
-                    any_busy = true;
-                }
-                break;
-            }
-        }
-    }
-    if (!any_busy)
-        return true;
-
-    // The stall point: bundle-issue everything the next instructions
-    // will touch (with optimization (2) filtering), then wait for
-    // whatever is genuinely outstanding.
-    issueSoonNeeded(wave);
-
-    bool must_wait = false;
-    for (unsigned reg : regs) {
-        if (wave.pendingMask(reg) != 0 || wave.inFlightMask(reg) != 0) {
-            must_wait = true;
-            break;
-        }
-    }
-    if (must_wait)
+    const bool valu = isVectorAlu(inst.op);
+    switch (lazy_.execute(wave, inst)) {
+      case LazyUnit::Step::Wait:
         setStatus(wave, WaveStatus::Waiting);
-    return !must_wait;
+        return;
+      case LazyUnit::Step::Endpgm:
+        setStatus(wave, WaveStatus::Done);
+        maybeFinalize(&wave); // may destroy the wavefront
+        break;
+      case LazyUnit::Step::Done:
+        if (valu)
+            wave.nextIssue = now + cfg_.aluLatency;
+        break;
+    }
+    const unsigned occupancy = valu ? cfg_.aluLatency : 1;
+    simd_busy_[simd] = now + occupancy;
+    simd_busy_cycles_ += occupancy;
+}
+
+// --- Lazy Unit port -----------------------------------------------------
+
+void
+ComputeUnit::requestIssue(Wavefront &wave, PendingLoad &pl)
+{
+    if (pl.masksOutstanding > 0) {
+        // Fig 7: the Read Req may only be issued once the Zero Read Rsp
+        // is back; park until the masks arrive.
+        pl.issueRequested = true;
+    } else {
+        lazy_.issue(wave, pl);
+    }
 }
 
 bool
-ComputeUnit::prepareOverwrite(Wavefront &wave, unsigned first,
-                              unsigned nregs)
+ComputeUnit::maskResident(Addr mask_addr)
 {
-    // WAW: an in-flight fill may not race the overwrite.
-    for (unsigned r = first; r < first + nregs; ++r) {
-        if (wave.anyInFlight(r)) {
-            setStatus(wave, WaveStatus::Waiting);
-            return false;
-        }
-    }
-    // Pending/Suspended words under the overwrite are dead: their values
-    // can never be observed, so their requests are permanently eliminated.
-    eliminateForRegs(wave, first, nregs);
-    return true;
+    return hier_.maskResidentInL1(sa_id_, mask_addr);
 }
 
 void
-ComputeUnit::executeValu(Wavefront &wave, const Instruction &inst)
+ComputeUnit::markInFlight(Wavefront &wave, const PendingLoad &pl,
+                          const PendingLoad::Tx &tx)
 {
-    std::vector<unsigned> &srcs = scratch_srcs_;
-    srcs.clear();
-    if (inst.src0.kind == SrcKind::VReg)
-        srcs.push_back(inst.src0.value);
-    if (inst.src1.kind == SrcKind::VReg)
-        srcs.push_back(inst.src1.value);
-    const bool reads_dst = inst.op == Opcode::VMacF32;
-    if (reads_dst)
-        srcs.push_back(inst.dst);
-
-    if (!ensureReady(wave, inst, srcs))
-        return;
-    if (!reads_dst && !prepareOverwrite(wave, inst.dst, 1))
-        return;
-
-    ++valu_insts_;
-
-    auto read = [&](const Src &s, unsigned lane) -> std::uint32_t {
-        // A (2)-suspended lane is read as zero; by construction its value
-        // cannot affect the result (counterpart operand is zero).
-        if (s.kind == SrcKind::VReg &&
-            wave.regState(s.value, lane) == RegState::Suspended) {
-            return 0;
-        }
-        return readSrc(wave, s, lane);
-    };
-
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        const std::uint32_t a = read(inst.src0, lane);
-        const std::uint32_t b = read(inst.src1, lane);
-        std::uint32_t out = 0;
-        switch (inst.op) {
-          case Opcode::VMov:
-            out = a;
-            break;
-          case Opcode::VAddF32:
-            out = asU(asF(a) + asF(b));
-            break;
-          case Opcode::VSubF32:
-            out = asU(asF(a) - asF(b));
-            break;
-          case Opcode::VMulF32:
-            out = asU(asF(a) * asF(b));
-            break;
-          case Opcode::VMacF32:
-            out = asU(asF(wave.vreg(inst.dst, lane)) + asF(a) * asF(b));
-            break;
-          case Opcode::VMaxF32:
-            out = asU(std::max(asF(a), asF(b)));
-            break;
-          case Opcode::VMinF32:
-            out = asU(std::min(asF(a), asF(b)));
-            break;
-          case Opcode::VRcpF32:
-            out = asU(1.0f / asF(a));
-            break;
-          case Opcode::VSqrtF32:
-            out = asU(std::sqrt(asF(a)));
-            break;
-          case Opcode::VCmpGtF32:
-            out = asU(asF(a) > asF(b) ? 1.0f : 0.0f);
-            break;
-          case Opcode::VCmpLtF32:
-            out = asU(asF(a) < asF(b) ? 1.0f : 0.0f);
-            break;
-          case Opcode::VAddU32:
-            out = a + b;
-            break;
-          case Opcode::VSubU32:
-            out = a - b;
-            break;
-          case Opcode::VMulU32:
-            out = a * b;
-            break;
-          case Opcode::VShlU32:
-            out = a << (b & 31);
-            break;
-          case Opcode::VShrU32:
-            out = a >> (b & 31);
-            break;
-          case Opcode::VAndB32:
-            out = a & b;
-            break;
-          case Opcode::VOrB32:
-            out = a | b;
-            break;
-          case Opcode::VXorB32:
-            out = a ^ b;
-            break;
-          case Opcode::VCmpEqU32:
-            out = (a == b) ? 1u : 0u;
-            break;
-          case Opcode::VMinU32:
-            out = std::min(a, b);
-            break;
-          case Opcode::VCvtF32U32:
-            out = asU(static_cast<float>(a));
-            break;
-          case Opcode::VThreadId:
-            out = wave.wid() * wavefrontSize + lane;
-            break;
-          case Opcode::VLaneId:
-            out = lane;
-            break;
-          default:
-            panic("unhandled VALU opcode %s", opcodeName(inst.op).c_str());
-        }
-        wave.setVreg(inst.dst, lane, out);
-    }
-    ++wave.pc;
-}
-
-std::uint32_t
-ComputeUnit::loadWord(Opcode op, Addr addr, unsigned reg_off) const
-{
-    switch (op) {
-      case Opcode::LoadByte:
-        return mem_.readByte(addr);
-      case Opcode::LoadShort:
-        return mem_.readByte(addr) |
-               (static_cast<std::uint32_t>(mem_.readByte(addr + 1)) << 8);
-      default:
-        return mem_.readU32(addr + 4ull * reg_off);
-    }
+    for (const auto &[r, lane] : tx.words)
+        wave.markInFlight(pl.firstDst + r, LaneMask(1) << lane);
 }
 
 void
-ComputeUnit::executeLoad(Wavefront &wave, const Instruction &inst)
+ComputeUnit::shortCircuit(Wavefront &wave, PendingLoad &pl,
+                          PendingLoad::Tx &tx)
 {
-    // The address register is a source; reading it may trigger lazy
-    // issue of an earlier load.
-    std::vector<unsigned> &srcs = scratch_srcs_;
-    srcs.clear();
-    srcs.push_back(inst.src0.value);
-    if (!ensureReady(wave, inst, srcs))
-        return;
-    const unsigned nregs = loadDstRegs(inst.op);
-    if (!prepareOverwrite(wave, inst.dst, nregs))
-        return;
-
-    ++load_insts_;
-
-    std::array<Addr, wavefrontSize> &lane_addr = scratch_lane_addr_;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        lane_addr[lane] =
-            inst.base + wave.vreg(inst.src0.value, lane);
+    if (trace_) {
+        trace_->emit(TraceKind::ZcShortCircuit, traceTrack(), 0,
+                     engine_.now(), 0, tx.addr);
     }
-
-    recordLazyLoad(wave, inst, lane_addr);
-    ++wave.pc;
-}
-
-void
-ComputeUnit::recordLazyLoad(Wavefront &wave, const Instruction &inst,
-                            const std::array<Addr, wavefrontSize> &lane_addr)
-{
-    const unsigned nregs = loadDstRegs(inst.op);
-    const unsigned bytes_per_lane = loadBytes(inst.op);
-
-    PendingLoad pl;
-    pl.op = inst.op;
-    pl.firstDst = inst.dst;
-    pl.numRegs = nregs;
-    pl.laneAddr = lane_addr;
-    pl.recordTick = engine_.now();
-
-    // Group every (reg, lane) word into its covering transaction,
-    // preserving lane order. Consecutive lanes almost always hit the
-    // same transaction (unit-stride loads), so remember the last one and
-    // only fall back to the linear lookup on an address change; new
-    // transactions are appended with their word capacity pre-reserved.
-    const unsigned bytes_per_word =
-        std::min(bytes_per_lane, maskGranularity);
-    pl.txs.reserve(nregs * wavefrontSize * std::size_t(bytes_per_word) /
-                   transactionSize);
-    PendingLoad::Tx *last = nullptr;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        for (unsigned r = 0; r < nregs; ++r) {
-            Addr wa = pl.wordAddr(r, lane);
-            Addr ta = txAlign(wa);
-            panic_if(txAlign(wa + bytes_per_word - 1) != ta,
-                     "load word straddles a transaction; kernels must "
-                     "use naturally aligned accesses");
-            PendingLoad::Tx *tx =
-                last && last->addr == ta ? last : pl.txFor(wa);
-            if (!tx) {
-                pl.txs.emplace_back();
-                tx = &pl.txs.back();
-                tx->addr = ta;
-                tx->words.reserve(transactionSize / 4);
-            }
-            last = tx;
-            tx->words.emplace_back(static_cast<std::uint8_t>(r),
-                                   static_cast<std::uint8_t>(lane));
-            ++tx->unresolved;
-            ++pl.wordsLeft;
-            wave.setRegState(inst.dst + r, lane, RegState::Pending);
-        }
-    }
-
-    // Encodability (Sec 4.1): lanes whose upper 35 address bits differ
-    // from lane 0's cannot be parked in the register metadata and are
-    // issued without lazy execution.
-    const std::uint64_t shared_upper = upperBits(lane_addr[0]);
-    bool any_fallback = false;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (upperBits(lane_addr[lane]) != shared_upper) {
-            any_fallback = true;
-            break;
-        }
-    }
-
-    PendingLoad &stored = wave.addPending(std::move(pl));
-
-    const bool eager_issue = !isLazy(mode_);
-    if (any_fallback && !eager_issue) {
-        // Mixed upper bits: per the paper these requests are promptly
-        // issued; we fall back to eager issue for the whole instruction.
-        txs_eager_fallback_ += stored.txs.size();
-        issuePendingLoad(wave, stored);
-        return;
-    }
-
-    if (hasZeroElimination(mode_))
-        requestMasks(wave, stored);
-
-    if (eager_issue) {
-        if (mode_ == ExecMode::EagerZC)
-            requestMasks(wave, stored); // concurrent mask fetch
-        issuePendingLoad(wave, stored);
-    }
-}
-
-void
-ComputeUnit::issuePendingLoad(Wavefront &wave, PendingLoad &pl)
-{
-    pl.dataIssued = true;
-    Wavefront *wp = &wave;
-    const unsigned first_dst = pl.firstDst;
-    const unsigned pl_id = pl.id;
-
-    for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        bool has_pending = false;
-        bool all_zero = true;
-        for (const auto &[r, lane] : tx.words) {
-            RegState st = wave.regState(first_dst + r, lane);
-            if (st == RegState::Pending)
-                has_pending = true;
-            if (st == RegState::Pending || st == RegState::Suspended) {
-                if (!mem_.isZeroWord(pl.wordAddr(r, lane)))
-                    all_zero = false;
-            }
-        }
-        if (!has_pending)
-            continue; // entirely suspended/resolved: stays parked
-
-        // EagerZC (Fig 9 comparison): the L1 Zero Cache is probed in
-        // parallel with the data path; if the mask is on hand and every
-        // needed word is zero the L2 access is short-circuited -- but
-        // the request has already consumed the issue slot and LSU.
-        if (mode_ == ExecMode::EagerZC && all_zero &&
-            hier_.maskResidentInL1(sa_id_,
-                                   GlobalMemory::maskAddr(tx.addr))) {
-            ++zc_short_circuits_;
-            if (trace_) {
-                trace_->emit(TraceKind::ZcShortCircuit, traceTrack(), 0,
-                             engine_.now(), 0, tx.addr);
-            }
-            tx.outcome = TxOutcome::Issued;
-            for (const auto &[r, lane] : tx.words) {
-                if (wave.regState(first_dst + r, lane) !=
-                    RegState::Ready) {
-                    wave.setRegState(first_dst + r, lane,
-                                     RegState::InFlight);
-                }
-            }
-            ++wave.outstanding_txs_;
-            Addr tx_addr = tx.addr;
-            engine_.scheduleIn(
-                cfg_.lsuPipeLatency + cfg_.l1HitLatency,
-                [this, wp, pl_id, tx_addr]() {
-                    Wavefront &w = *wp;
-                    --w.outstanding_txs_;
-                    auto it = w.pendings().find(pl_id);
-                    if (it != w.pendings().end()) {
-                        PendingLoad &p = it->second;
-                        if (auto *t = p.txFor(tx_addr)) {
-                            for (const auto &[r2, l2] : t->words) {
-                                resolveWord(w, p, *t, r2, l2, 0);
-                            }
-                        }
-                        finishPendingIfResolved(w, p);
-                    }
-                    wake(w);
-                    maybeFinalize(wp);
-                    restallIfQuiescent();
-                });
-            continue;
-        }
-
-        tx.outcome = TxOutcome::Issued;
-        for (const auto &[r, lane] : tx.words) {
-            if (wave.regState(first_dst + r, lane) != RegState::Ready)
-                wave.setRegState(first_dst + r, lane, RegState::InFlight);
-        }
-        ++wave.outstanding_txs_;
-        ++pl.inflightTxs;
-        ++txs_issued_;
-
-        const Tick issue_tick = engine_.now();
-        const Tick record_tick = pl.recordTick;
-        lifecycle_.issued(issue_tick - record_tick);
-        std::uint64_t span_id = 0;
-        if (trace_) {
-            span_id = trace_->nextId();
-            trace_->emit(TraceKind::TxBegin, traceTrack(), 0,
-                         issue_tick, span_id, tx.addr);
-        }
-        Addr tx_addr = tx.addr;
-        issueTx(tx.addr, false,
-                [this, wp, pl_id, tx_addr, issue_tick, record_tick,
-                 span_id]() {
-            Wavefront &w = *wp;
-            --w.outstanding_txs_;
-            ++txs_completed_;
-            const Tick lat = engine_.now() - issue_tick;
-            mem_latency_.sample(static_cast<double>(lat));
-            lifecycle_.resolved(engine_.now() - record_tick);
-            if (trace_) {
-                trace_->emit(TraceKind::TxEnd, traceTrack(), 0,
-                             engine_.now(), span_id, tx_addr);
-            }
-            auto it = w.pendings().find(pl_id);
-            bool load_drained = true;
-            if (it != w.pendings().end()) {
-                PendingLoad &p = it->second;
-                --p.inflightTxs;
-                load_drained = p.inflightTxs == 0;
-                if (inject_ &&
-                    inject_->wantScoreboardFlip(engine_.now())) {
-                    p.wordsLeft += 1;
-                }
-                if (auto *t = p.txFor(tx_addr)) {
-                    for (const auto &[r2, l2] : t->words) {
-                        if (w.regState(p.firstDst + r2, l2) ==
-                            RegState::InFlight) {
-                            std::uint32_t v =
-                                loadWord(p.op, p.laneAddr[l2], r2);
-                            if (inject_) {
-                                v = inject_->filterLoadWord(
-                                    engine_.now(), v);
-                            }
-                            resolveWord(w, p, *t, r2, l2, v);
-                        }
-                    }
-                }
-                finishPendingIfResolved(w, p);
-            }
-            // Waking per transaction would burn issue slots on futile
-            // re-executions; wake once the whole load's data is in.
-            if (load_drained)
-                wake(w);
-            maybeFinalize(wp);
-            restallIfQuiescent();
-        });
-    }
-}
-
-void
-ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
-{
-    if (pl.maskRequested || !hier_.hasZeroCaches())
-        return;
-    pl.maskRequested = true;
-
-    // One mask transaction covers transactionSize * 8 * maskGranularity
-    // bytes of data (1 KiB); a load's footprint usually needs one or two.
-    std::vector<Addr> &mask_words = scratch_mask_bytes_;
-    mask_words.clear();
-    for (const auto &tx : pl.txs)
-        mask_words.push_back(GlobalMemory::maskAddr(tx.addr));
-    std::vector<Addr> &mask_txs = scratch_mask_txs_;
-    coalescer_.coalesce(mask_words.data(), mask_words.size(), 1, mask_txs);
-
+    markInFlight(wave, pl, tx);
+    ++wave.outstanding_txs_;
     Wavefront *wp = &wave;
     const unsigned pl_id = pl.id;
-    const bool lazy_elim = hasZeroElimination(mode_);
+    const std::size_t tx_idx = &tx - pl.txs.data();
+    engine_.scheduleIn(cfg_.lsuPipeLatency + cfg_.l1HitLatency,
+                       [this, wp, pl_id, tx_idx]() {
+        Wavefront &w = *wp;
+        --w.outstanding_txs_;
+        auto it = w.pendings().find(pl_id);
+        if (it != w.pendings().end()) {
+            PendingLoad &p = it->second;
+            lazy_.zeroFill(w, p, p.txs[tx_idx]);
+            lazy_.finishIfResolved(w, p);
+        }
+        wake(w);
+        maybeFinalize(wp);
+        restallIfQuiescent();
+    });
+}
 
-    pl.masksOutstanding += static_cast<unsigned>(mask_txs.size());
+void
+ComputeUnit::sendData(Wavefront &wave, PendingLoad &pl,
+                      PendingLoad::Tx &tx)
+{
+    markInFlight(wave, pl, tx);
+    ++wave.outstanding_txs_;
+    ++pl.inflightTxs;
+
+    const Tick issue_tick = engine_.now();
     const Tick record_tick = pl.recordTick;
+    lifecycle_.issued(issue_tick - record_tick);
+    std::uint64_t span_id = 0;
+    if (trace_) {
+        span_id = trace_->nextId();
+        trace_->emit(TraceKind::TxBegin, traceTrack(), 0, issue_tick,
+                     span_id, tx.addr);
+    }
+    Wavefront *wp = &wave;
+    const unsigned pl_id = pl.id;
+    const Addr tx_addr = tx.addr;
+    const std::size_t tx_idx = &tx - pl.txs.data();
+    issueTx(tx_addr, false,
+            [this, wp, pl_id, tx_idx, tx_addr, issue_tick, record_tick,
+             span_id]() {
+        Wavefront &w = *wp;
+        --w.outstanding_txs_;
+        const Tick lat = engine_.now() - issue_tick;
+        mem_latency_.sample(static_cast<double>(lat));
+        lifecycle_.resolved(engine_.now() - record_tick);
+        if (trace_) {
+            trace_->emit(TraceKind::TxEnd, traceTrack(), 0, engine_.now(),
+                         span_id, tx_addr);
+        }
+        auto it = w.pendings().find(pl_id);
+        bool load_drained = true;
+        if (it != w.pendings().end()) {
+            PendingLoad &p = it->second;
+            --p.inflightTxs;
+            load_drained = p.inflightTxs == 0;
+            if (inject_ && inject_->wantScoreboardFlip(engine_.now()))
+                p.wordsLeft += 1;
+            lazy_.fill(w, p, p.txs[tx_idx]);
+            lazy_.finishIfResolved(w, p);
+        }
+        // Waking per transaction would burn issue slots on futile
+        // re-executions; wake once the whole load's data is in.
+        if (load_drained)
+            wake(w);
+        maybeFinalize(wp);
+        restallIfQuiescent();
+    });
+}
+
+void
+ComputeUnit::probeMasks(Wavefront &wave, PendingLoad &pl,
+                        const std::vector<Addr> &mask_txs)
+{
+    Wavefront *wp = &wave;
+    const unsigned pl_id = pl.id;
+    const Tick record_tick = pl.recordTick;
+    pl.masksOutstanding += static_cast<unsigned>(mask_txs.size());
     for (Addr ma : mask_txs) {
-        ++mask_reads_;
         ++wave.outstanding_masks_;
         std::uint64_t span_id = 0;
         if (trace_) {
@@ -1031,8 +430,8 @@ ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
             trace_->emit(TraceKind::MaskBegin, traceTrack(), 0,
                          engine_.now(), span_id, ma);
         }
-        issueMaskTx(ma, false, [this, wp, pl_id, ma, lazy_elim,
-                                record_tick, span_id]() {
+        issueMaskTx(ma, false, [this, wp, pl_id, ma, record_tick,
+                                span_id]() {
             Wavefront &w = *wp;
             --w.outstanding_masks_;
             lifecycle_.maskProbed(engine_.now() - record_tick);
@@ -1046,7 +445,7 @@ ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
                 --it->second.masksOutstanding;
                 masks_done = it->second.masksOutstanding == 0;
             }
-            if (lazy_elim)
+            if (hasZeroElimination(mode_))
                 onMaskResponse(w, pl_id, ma);
             // The mask may have resolved everything; otherwise honour a
             // parked issue request now that the Zero Read Rsp is back
@@ -1056,11 +455,11 @@ ComputeUnit::requestMasks(Wavefront &wave, PendingLoad &pl)
                 it != w.pendings().end() && masks_done &&
                 it->second.issueRequested &&
                 w.status != WaveStatus::Done) {
-                issueSoonNeeded(w);
+                lazy_.windowIssue(w);
                 if (auto it2 = w.pendings().find(pl_id);
                     it2 != w.pendings().end() &&
                     it2->second.issueRequested) {
-                    issuePendingLoad(w, it2->second);
+                    lazy_.issue(w, it2->second);
                 }
             }
             if (masks_done)
@@ -1078,201 +477,31 @@ ComputeUnit::onMaskResponse(Wavefront &wave, unsigned pl_id,
     auto it = wave.pendings().find(pl_id);
     if (it == wave.pendings().end())
         return;
-    PendingLoad &pl = it->second;
-
     // Data region covered by this 32 B mask transaction: 1 KiB.
-    const Addr lo = GlobalMemory::maskedDataAddr(mask_addr);
-    const Addr hi = GlobalMemory::maskedDataAddr(mask_addr +
-                                                 transactionSize);
-
-    for (auto &tx : pl.txs) {
-        if (tx.outcome != TxOutcome::Unissued)
-            continue;
-        if (tx.addr < lo || tx.addr >= hi)
-            continue;
-        for (const auto &[r, lane] : tx.words) {
-            const unsigned reg = pl.firstDst + r;
-            if (wave.regState(reg, lane) != RegState::Pending)
-                continue;
-            bool zero = mem_.isZeroWord(pl.wordAddr(r, lane));
-            if (inject_)
-                zero ^= inject_->flipZeroProbe(engine_.now());
-            if (zero) {
-                // Optimization (1): materialise the zero without memory
-                // traffic (busy bit cleared, register initialised to 0).
-                ++lanes_zeroed_;
-                ++tx.zeroedWords;
-                resolveWord(wave, pl, tx, r, lane, 0);
-            }
-        }
-    }
-    finishPendingIfResolved(wave, pl);
+    lazy_.applyZeroMask(
+        wave, it->second, GlobalMemory::maskedDataAddr(mask_addr),
+        GlobalMemory::maskedDataAddr(mask_addr + transactionSize));
 }
 
 void
-ComputeUnit::resolveWord(Wavefront &wave, PendingLoad &pl,
-                         PendingLoad::Tx &tx_ref, unsigned reg_off,
-                         unsigned lane, std::uint32_t value)
+ComputeUnit::writeMask(Addr mask_addr)
 {
-    const unsigned reg = pl.firstDst + reg_off;
-    if (wave.regState(reg, lane) == RegState::Ready)
-        return;
-    wave.setVreg(reg, lane, value);
-    wave.setRegState(reg, lane, RegState::Ready);
-
-    // The caller names the covering transaction directly: every resolve
-    // site already iterates a transaction's word list (or looked it up),
-    // so re-finding it here would be a redundant linear scan.
-    PendingLoad::Tx *tx = &tx_ref;
-    panic_if(tx->unresolved == 0, "transaction resolved twice");
-    --tx->unresolved;
-    --pl.wordsLeft;
-
-    if (tx->unresolved == 0 && tx->outcome == TxOutcome::Unissued) {
-        // This transaction will never be issued; classify why (Fig 14).
-        const Tick age = engine_.now() - pl.recordTick;
-        if (tx->zeroedWords == tx->words.size()) {
-            tx->outcome = TxOutcome::EliminatedZero;
-            ++txs_elim_zero_;
-            lifecycle_.eliminatedZero(age);
-        } else if (tx->hadSuspended) {
-            tx->outcome = TxOutcome::EliminatedOtimes;
-            ++txs_elim_otimes_;
-            lifecycle_.eliminatedOtimes(age);
-        } else {
-            tx->outcome = TxOutcome::EliminatedDead;
-            ++txs_elim_dead_;
-            lifecycle_.eliminatedDead(age);
-        }
+    if (trace_) {
+        trace_->emit(TraceKind::MaskWrite, traceTrack(), 0, engine_.now(),
+                     0, mask_addr);
     }
+    issueMaskTx(mask_addr, true, nullptr);
 }
 
 void
-ComputeUnit::finishPendingIfResolved(Wavefront &wave, PendingLoad &pl)
+ComputeUnit::writeData(Addr tx_addr, bool zero_skipped)
 {
-    if (pl.wordsLeft == 0)
-        wave.removePending(pl.id);
-}
-
-void
-ComputeUnit::eliminateForRegs(Wavefront &wave, unsigned first,
-                              unsigned nregs)
-{
-    for (unsigned r = first; r < first + nregs; ++r) {
-        PendingLoad *pl = wave.pendingFor(r);
-        if (!pl)
-            continue;
-        const unsigned reg_off = r - pl->firstDst;
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            RegState st = wave.regState(r, lane);
-            if (st == RegState::Pending || st == RegState::Suspended) {
-                PendingLoad::Tx *tx =
-                    pl->txFor(pl->wordAddr(reg_off, lane));
-                panic_if(!tx, "word outside its load's footprint");
-                resolveWord(wave, *pl, *tx, reg_off, lane, 0);
-            }
-        }
-        if (pl->wordsLeft == 0) {
-            // Fully resolved: the load is removed outright, so no stale
-            // word can outlive it. This is the common case (a
-            // single-register load overwritten whole).
-            finishPendingIfResolved(wave, *pl);
-            continue;
-        }
-        // The load survives for its other registers (multi-register
-        // loads overlap partially), and this register may be re-owned
-        // by a newer writer the moment we return, while the old load's
-        // mask/data responses are still in flight. Drop the dead words
-        // from the transaction lists so no response can reinterpret
-        // scoreboard state it no longer owns. In-flight words are kept:
-        // prepareOverwrite stalls on them, so they only appear here via
-        // retire-time elimination, where the data callback still needs
-        // them.
-        for (PendingLoad::Tx &tx : pl->txs) {
-            auto &ws = tx.words;
-            ws.erase(std::remove_if(
-                         ws.begin(), ws.end(),
-                         [&](const std::pair<std::uint8_t,
-                                             std::uint8_t> &w) {
-                             return w.first == reg_off &&
-                                    wave.regState(r, w.second) ==
-                                        RegState::Ready;
-                         }),
-                     ws.end());
-        }
+    if (trace_) {
+        trace_->emit(TraceKind::StoreTx, traceTrack(), zero_skipped ? 1 : 0,
+                     engine_.now(), 0, tx_addr);
     }
-}
-
-void
-ComputeUnit::executeStore(Wavefront &wave, const Instruction &inst)
-{
-    const unsigned nregs = storeBytes(inst.op) / 4;
-    std::vector<unsigned> &srcs = scratch_srcs_;
-    srcs.clear();
-    srcs.push_back(inst.src0.value);
-    for (unsigned r = 0; r < nregs; ++r)
-        srcs.push_back(inst.src2.value + r);
-    if (!ensureReady(wave, inst, srcs))
-        return;
-
-    ++store_insts_;
-
-    // Functional write, immediately (timing below is fire-and-forget).
-    std::array<Addr, wavefrontSize> &lane_addr = scratch_lane_addr_;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        lane_addr[lane] = inst.base + wave.vreg(inst.src0.value, lane);
-        for (unsigned r = 0; r < nregs; ++r) {
-            mem_.writeU32(lane_addr[lane] + 4ull * r,
-                          wave.vreg(inst.src2.value + r, lane));
-        }
-    }
-
-    std::vector<Addr> &txs = scratch_txs_;
-    coalescer_.coalesce(lane_addr.data(), lane_addr.size(),
-                        storeBytes(inst.op), txs);
-#ifdef LAZYGPU_CHECK
-    for (Addr ta : txs)
-        verif::checkMaskCoherence(mem_, ta);
-#endif
-    const bool zc = hier_.hasZeroCaches();
-    if (zc) {
-        // Fig 7 write path: the zero masks are always updated to keep
-        // the Zero Caches coherent with the data. Mask bytes of all the
-        // store's transactions coalesce into aligned mask transactions.
-        std::vector<Addr> &mask_bytes = scratch_mask_bytes_;
-        mask_bytes.clear();
-        for (Addr ta : txs)
-            mask_bytes.push_back(GlobalMemory::maskAddr(ta));
-        coalescer_.coalesce(mask_bytes.data(), mask_bytes.size(), 1,
-                            scratch_mask_txs_);
-        for (Addr ma : scratch_mask_txs_) {
-            ++mask_writes_;
-            if (trace_) {
-                trace_->emit(TraceKind::MaskWrite, traceTrack(), 0,
-                             engine_.now(), 0, ma);
-            }
-            issueMaskTx(ma, true, nullptr);
-        }
-    }
-    for (Addr ta : txs) {
-        if (zc && hasZeroElimination(mode_) &&
-            mem_.zeroMaskByte(ta) == 0xff) {
-            // All-zero block: only the Zero Cache is written (Sec 4.2).
-            ++store_txs_zero_skipped_;
-            if (trace_) {
-                trace_->emit(TraceKind::StoreTx, traceTrack(), 1,
-                             engine_.now(), 0, ta);
-            }
-            continue;
-        }
-        ++store_txs_;
-        if (trace_) {
-            trace_->emit(TraceKind::StoreTx, traceTrack(), 0,
-                         engine_.now(), 0, ta);
-        }
-        issueTx(ta, true, nullptr); // posted write
-    }
-    ++wave.pc;
+    if (!zero_skipped)
+        issueTx(tx_addr, true, nullptr); // posted write
 }
 
 void
@@ -1311,13 +540,17 @@ ComputeUnit::issueMaskTx(Addr mask_addr, bool write, Completion cb)
 void
 ComputeUnit::corruptLaneBitmap()
 {
-    // In the timed pipeline the (2)-suspension bitmap is the per-lane
-    // RegState word. Losing a set bit (Suspended -> Ready) makes the
-    // lane read stale register data instead of the architectural zero
-    // AND strands the scoreboard word the mark covered (resolveWord
-    // skips Ready lanes, so the retire invariant can fire). Gaining a
-    // spurious bit (Pending -> Suspended) zeroes a live operand until
-    // the next consumer requalifies it.
+    // Losing a set bit of the (2)-suspension bitmap (Suspended ->
+    // Ready) makes the lane read stale register data instead of the
+    // architectural zero AND strands the scoreboard word the mark
+    // covered (resolution skips Ready lanes, so the retire invariant can
+    // fire). Gaining a spurious bit (Pending -> Suspended) zeroes a live
+    // operand until the next consumer requalifies it. Modes without
+    // optimization (2) have no suspension state: the upset lands on
+    // nothing (flipping a lane Suspended there would fabricate a state
+    // such a CU cannot hold).
+    if (!hasOtimesElimination(mode_))
+        return;
     const unsigned want = inject_->laneFromSeed();
     for (const auto &w : waves_) {
         for (unsigned r = 0; r < w->kernel().numVregs; ++r) {
@@ -1341,8 +574,8 @@ ComputeUnit::corruptLaneBitmap()
             }
         }
     }
-    // No live lane metadata on this CU: flip the zero bitmap consulted
-    // by the rabbit executor's suspension decisions instead.
+    // No live lane metadata on this CU: flip the zero bitmap the
+    // suspension rule consults instead.
     if (!waves_.empty()) {
         Wavefront &w = *waves_.front();
         w.setZeroMask(0, w.zeroMask(0) ^
@@ -1356,28 +589,6 @@ ComputeUnit::wake(Wavefront &wave)
     if (wave.status == WaveStatus::Waiting)
         setStatus(wave, WaveStatus::Ready);
 }
-
-void
-ComputeUnit::retire(Wavefront &wave)
-{
-    if (retire_obs_)
-        retire_obs_(wave);
-    // Permanently eliminate every still-parked request: the wavefront is
-    // complete, so their values can never be observed (Sec 4.3).
-    std::vector<unsigned> &ids = scratch_retire_ids_;
-    ids.clear();
-    for (const auto &[id, pl] : wave.pendings())
-        ids.push_back(id);
-    for (unsigned id : ids) {
-        auto it = wave.pendings().find(id);
-        if (it == wave.pendings().end())
-            continue;
-        eliminateForRegs(wave, it->second.firstDst, it->second.numRegs);
-    }
-    setStatus(wave, WaveStatus::Done);
-    maybeFinalize(&wave);
-}
-
 
 void
 ComputeUnit::maybeFinalize(Wavefront *wave)

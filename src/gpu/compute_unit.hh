@@ -1,7 +1,8 @@
 /**
  * @file
  * ComputeUnit: one GCN3-style CU with four SIMD units, the wavefront
- * scheduler, the LSU, and the paper's Lazy Unit.
+ * scheduler, the LSU, and the timed memory port of the paper's Lazy
+ * Unit (gpu/lazy_unit.hh holds the sparsity rules themselves).
  *
  * The CU implements every execution mode of the paper:
  *  - Baseline: loads issue eagerly at execute; the scoreboard (busy bits)
@@ -23,12 +24,11 @@
 #ifndef LAZYGPU_GPU_COMPUTE_UNIT_HH
 #define LAZYGPU_GPU_COMPUTE_UNIT_HH
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "gpu/coalescer.hh"
+#include "gpu/lazy_unit.hh"
 #include "gpu/wavefront.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory.hh"
@@ -47,7 +47,7 @@ namespace inject
 class Injector;
 }
 
-class ComputeUnit : public Clocked
+class ComputeUnit : public Clocked, private LazyUnit::Port
 {
   public:
     /**
@@ -63,8 +63,16 @@ class ComputeUnit : public Clocked
                 MemoryHierarchy &hier, unsigned cu_id, unsigned sa_id,
                 TraceSink *trace);
 
-    /** Occupancy limit for the running kernel (register-usage bound). */
-    void setMaxWaves(unsigned n) { max_waves_ = n; }
+    /**
+     * A kernel launches: n is its occupancy limit (register-usage
+     * bound), and the Lazy Unit drops its old decode-window table.
+     */
+    void
+    beginKernel(unsigned n)
+    {
+        max_waves_ = n;
+        lazy_.beginKernel();
+    }
     unsigned maxWaves() const { return max_waves_; }
     unsigned residentWaves() const
     {
@@ -86,10 +94,10 @@ class ComputeUnit : public Clocked
      * Unit eliminates still-parked loads, so the observer sees which
      * register lanes were architecturally live (Ready) at retirement.
      */
-    using RetireObserver = std::function<void(const Wavefront &)>;
+    using RetireObserver = LazyUnit::RetireObserver;
     void setRetireObserver(RetireObserver obs)
     {
-        retire_obs_ = std::move(obs);
+        lazy_.setRetireObserver(std::move(obs));
     }
 
     /**
@@ -98,7 +106,12 @@ class ComputeUnit : public Clocked
      * null pointer, so the injection-off path is a single predicted
      * branch per site (the trace-sink pattern).
      */
-    void setInjector(inject::Injector *inj) { inject_ = inj; }
+    void
+    setInjector(inject::Injector *inj)
+    {
+        inject_ = inj;
+        lazy_.setInjector(inj);
+    }
 
     // Clocked interface.
     void tick() override;
@@ -107,7 +120,7 @@ class ComputeUnit : public Clocked
     // --- Cycle accounting (CPI stacks, DESIGN.md §16) --------------------
     /**
      * Enable per-CU cycle accounting: registers the bucket counters and
-     * switches tick() to the accounted path. When a sampler is given
+     * makes tick() charge every cycle. When a sampler is given
      * (classic engine only) the account is registered with it so interval
      * snapshots can flush the lazy gap cursor. Must be called before the
      * first tick; off, the cost is one predicted null-pointer branch.
@@ -153,11 +166,6 @@ class ComputeUnit : public Clocked
     // --- Scheduling ------------------------------------------------------
     Wavefront *pickWave(unsigned simd);
     void executeOne(Wavefront &wave, unsigned simd);
-    void executeScalar(Wavefront &wave, const Instruction &inst);
-    void executeValu(Wavefront &wave, const Instruction &inst);
-    void executeLoad(Wavefront &wave, const Instruction &inst);
-    void executeStore(Wavefront &wave, const Instruction &inst);
-    void retire(Wavefront &wave);
 
     /**
      * Every wavefront status change goes through here: it maintains the
@@ -167,60 +175,22 @@ class ComputeUnit : public Clocked
     void setStatus(Wavefront &wave, WaveStatus s);
     void noteReadyDelta(int delta);
 
-    // --- Operand access ---------------------------------------------------
-    std::uint32_t readSrc(const Wavefront &wave, const Src &s,
-                          unsigned lane) const;
+    // --- Lazy Unit port: the hierarchy, with responses in callbacks ------
+    void requestIssue(Wavefront &wave, PendingLoad &pl) override;
+    void probeMasks(Wavefront &wave, PendingLoad &pl,
+                    const std::vector<Addr> &mask_txs) override;
+    bool maskResident(Addr mask_addr) override;
+    void sendData(Wavefront &wave, PendingLoad &pl,
+                  PendingLoad::Tx &tx) override;
+    void shortCircuit(Wavefront &wave, PendingLoad &pl,
+                      PendingLoad::Tx &tx) override;
+    void writeMask(Addr mask_addr) override;
+    void writeData(Addr tx_addr, bool zero_skipped) override;
 
-    /**
-     * Make the given source registers readable, triggering lazy issue
-     * and/or optimization (2) suspension as required.
-     *
-     * When inst is an otimes instruction, a busy lane of src0/src1 may be
-     * suspended instead of issued if the counterpart operand's value in
-     * that lane is a ready zero (Sec 4.3).
-     *
-     * @return true when the instruction can execute now.
-     */
-    bool ensureReady(Wavefront &wave, const Instruction &inst,
-                     const std::vector<unsigned> &regs);
-
-    /** WAW guard + lazy dead-on-overwrite elimination for dst regs. */
-    bool prepareOverwrite(Wavefront &wave, unsigned first, unsigned nregs);
-
-    // --- Lazy Unit ---------------------------------------------------------
-    void recordLazyLoad(Wavefront &wave, const Instruction &inst,
-                        const std::array<Addr, wavefrontSize> &lane_addr);
-    void issuePendingLoad(Wavefront &wave, PendingLoad &pl);
-
-    /**
-     * The Lazy Unit's decode look-ahead (Sec 4.3: otimes instructions
-     * are identified at decode, ahead of execution). When the wavefront
-     * stalls, every pending load whose first consumer lies within the
-     * next few straight-line instructions is issued together -- the
-     * bundled-issue behaviour GCN's s_waitcnt implies -- after applying
-     * optimization (2) suspension using currently-known (including
-     * mask-zeroed) counterpart values. Loads consumed beyond the window
-     * (e.g. software-pipelined next-tile prefetches) stay lazy.
-     */
-    void issueSoonNeeded(Wavefront &wave);
-
-    /** Per-lane otimes suspension for one source register of inst. */
-    void trySuspend(Wavefront &wave, const Instruction &inst,
-                    unsigned reg);
-
-    /**
-     * True when inst is an otimes instruction whose *other* operand is
-     * a known zero in this lane (so reg's value cannot matter).
-     */
-    bool counterpartZero(const Wavefront &wave, const Instruction &inst,
-                         unsigned reg, unsigned lane) const;
-    void requestMasks(Wavefront &wave, PendingLoad &pl);
+    /** The issued words of tx (Pending or Suspended) become InFlight. */
+    static void markInFlight(Wavefront &wave, const PendingLoad &pl,
+                             const PendingLoad::Tx &tx);
     void onMaskResponse(Wavefront &wave, unsigned pl_id, Addr mask_addr);
-    void eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs);
-    void resolveWord(Wavefront &wave, PendingLoad &pl,
-                     PendingLoad::Tx &tx, unsigned reg_off, unsigned lane,
-                     std::uint32_t value);
-    void finishPendingIfResolved(Wavefront &wave, PendingLoad &pl);
 
     // --- Transaction plumbing -----------------------------------------------
     /** Issue one data transaction through the LSU pipe; cb on response. */
@@ -231,9 +201,6 @@ class ComputeUnit : public Clocked
     /** Destroy the wavefront if it is Done and fully drained. */
     void maybeFinalize(Wavefront *wave);
 
-    /** Functional load of one register word. */
-    std::uint32_t loadWord(Opcode op, Addr addr, unsigned reg_off) const;
-
     /** This CU's id as a trace track (CU tracks are global CU ids). */
     std::uint16_t traceTrack() const
     {
@@ -241,22 +208,15 @@ class ComputeUnit : public Clocked
     }
 
     /**
-     * LaneBitmapFlip landing: corrupt one lane bit of the zero bitmap
-     * of the first busy register of the first resident wavefront (the
-     * seed picks the lane). Called from tick() after the injector arms.
+     * LaneBitmapFlip landing: corrupt one lane bit of the scoreboard
+     * bitmaps of the first resident wavefront that has a Suspended (else
+     * Pending) lane, or else of a zero bitmap (the seed picks the lane);
+     * a no-op without optimization (2). Called from tick() after the
+     * injector arms.
      */
     void corruptLaneBitmap();
 
     // --- Cycle accounting internals --------------------------------------
-    /**
-     * The accounted twin of tick()'s SIMD loop: issues exactly the same
-     * work, then charges the cycle (Busy when any SIMD executed or was
-     * mid-execution, ScoreboardWait otherwise) and classifies the
-     * upcoming gap if the CU just went quiescent. Kept separate so the
-     * accounting-off tick loop stays byte-for-byte untouched.
-     */
-    void tickAccounted(Tick now);
-
     /**
      * Exclusive stall class of a quiescent CU right now (DESIGN.md §16
      * priority order): outstanding data txs -> MshrBackpressure when the
@@ -283,7 +243,6 @@ class ComputeUnit : public Clocked
     TraceSink *trace_;
     inject::Injector *inject_ = nullptr;
     const GpuConfig &cfg_;
-    GlobalMemory &mem_;
     MemoryHierarchy &hier_;
     const unsigned cu_id_;
     const unsigned sa_id_;
@@ -299,46 +258,14 @@ class ComputeUnit : public Clocked
 
     std::vector<Tick> simd_busy_;
     std::function<void()> retire_cb_;
-    RetireObserver retire_obs_;
 
     /** Waves with status Ready; quiescent() is this count being zero. */
     unsigned ready_waves_ = 0;
     /** Ready waves per SIMD, so tick() skips SIMDs with nothing to pick. */
     std::vector<unsigned> ready_per_simd_;
 
-    // Per-issue scratch buffers, hoisted out of the execute paths so the
-    // steady state allocates nothing (capacities are retained across
-    // instructions; only the first few issues grow them).
-    std::vector<unsigned> scratch_srcs_;
-    std::vector<unsigned> scratch_issue_ids_;
-    std::vector<std::uint32_t> seen_stamp_; //!< per-vreg epoch tag
-    std::uint32_t seen_epoch_ = 0;
-    std::array<Addr, wavefrontSize> scratch_lane_addr_{};
-    std::vector<Addr> scratch_txs_;
-    std::vector<Addr> scratch_mask_bytes_;
-    std::vector<Addr> scratch_mask_txs_;
-    std::vector<unsigned> scratch_retire_ids_;
-    Coalescer coalescer_;
-
-    // Shared GPU-wide stats (one StatsRegistry per Gpu).
-    Counter &valu_insts_;
-    Counter &salu_insts_;
     Counter &simd_busy_cycles_;
-    Counter &load_insts_;
-    Counter &store_insts_;
-    Counter &txs_issued_;
-    Counter &txs_completed_;
-    Counter &txs_elim_zero_;
-    Counter &txs_elim_otimes_;
-    Counter &txs_elim_dead_;
-    Counter &txs_eager_fallback_;
-    Counter &store_txs_;
-    Counter &store_txs_zero_skipped_;
-    Counter &mask_reads_;
-    Counter &mask_writes_;
-    Counter &zc_short_circuits_;
-    Counter &lanes_zeroed_;
-    Counter &lanes_suspended_;
+    LazyUnit lazy_;
     Distribution &mem_latency_;
 };
 

@@ -267,7 +267,7 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
     if (timed > 0) {
         const unsigned per_cu = cfg_.wavesPerCuForKernel(kernel.numVregs);
         for (auto &cu : cus_)
-            cu->setMaxWaves(per_cu);
+            cu->beginKernel(per_cu);
 
         // This launch has waves to hand out: an empty CU is now
         // starved (FetchEmpty), not drained.
@@ -340,6 +340,7 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
             if (retire_obs_)
                 rabbit_->setRetireObserver(retire_obs_);
         }
+        rabbit_->beginKernel();
         for (unsigned wid = timed; wid < total; ++wid)
             rabbit_->run(kernel, wid);
 

@@ -6,35 +6,29 @@
  * Named after ESESC's "rabbit mode": wavefronts outside the timing
  * sampling window are interpreted straight-line -- no event engine, no
  * cache or DRAM timing, no SIMD scheduling -- while the paper's sparsity
- * machinery runs at full fidelity. Loads are still recorded as
- * PendingLoad metadata, zero-mask probes still materialise zero words,
- * otimes counterpart checks still suspend lanes, and overwrite/retire
- * still permanently eliminates parked transactions, so every
- * transaction-level counter (txs_issued, txs_elim_*, store_txs*,
- * mask_reads/writes, ...) is accounted with the same rules as the timed
- * pipeline. Functional state (GlobalMemory, retired register values) is
- * bit-exact with the timed path for race-free kernels.
+ * machinery runs at full fidelity: the executor drives the same LazyUnit
+ * as the timed ComputeUnit, so every transaction-level counter
+ * (txs_issued, txs_elim_*, store_txs*, mask_reads/writes, ...) follows
+ * the same rules by construction. Functional state (GlobalMemory,
+ * retired register values) is bit-exact with the timed path for
+ * race-free kernels.
  *
- * VALU instructions execute on the shared vectorized plane core
- * (isa::evalValuPlane over the Wavefront's contiguous register planes,
- * suspended lanes passed as PlaneSrc::zeroed bitmaps); the
- * LAZYGPU_SCALAR_REF oracle toggle (isa::scalarRefEnabled) routes them
- * through the per-lane scalar interpreter instead. Scoreboard decisions
- * (suspension, requalification, pending probes) are 64-bit bitmap tests
- * on the Wavefront's busy/suspended/zero masks on both paths.
- *
- * The one deliberate approximation: memory responses are instantaneous.
- * Zero masks "arrive" at record time (in the timed pipeline they arrive
- * a few cycles later but, per Fig 7, always before the data issue
- * decision), and issued data transactions resolve synchronously. For
- * EagerZC the L1 Zero Cache residency that gates short-circuits is
- * approximated by a FIFO set with the same aggregate line capacity.
+ * What the rabbit supplies is the Lazy Unit's memory port, with one
+ * deliberate approximation: responses are instantaneous. Zero masks are
+ * applied at record time (in the timed pipeline they arrive a few cycles
+ * later but, per Fig 7, always before the data issue decision), and
+ * issued data transactions resolve synchronously. For EagerZC the L1
+ * Zero Cache residency that gates short-circuits is approximated by a
+ * FIFO set with the same aggregate line capacity; a load's own mask
+ * lines enter it at the next instruction boundary, after its issue
+ * decision, as its mask fetch is still in flight at issue time in the
+ * timed pipeline.
  *
  * Counters are registered under "gpu.rabbit.*" with the same leaf names
  * as the per-CU counters, so existing "gpu." + ".<name>" aggregations
  * pick them up transparently. simd_busy_cycles is deliberately absent:
  * the rabbit path has no timing, and Gpu extrapolates that counter from
- * the timed window instead.
+ * the timed window instead. Lifecycle samples stay timed-path only.
  */
 
 #ifndef LAZYGPU_GPU_RABBIT_HH
@@ -42,11 +36,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_set>
 #include <vector>
 
-#include "gpu/coalescer.hh"
+#include "gpu/lazy_unit.hh"
 #include "gpu/wavefront.hh"
 #include "mem/memory.hh"
 #include "obs/registry.hh"
@@ -56,7 +49,7 @@
 namespace lazygpu
 {
 
-class RabbitExecutor
+class RabbitExecutor : private LazyUnit::Port
 {
   public:
     /**
@@ -68,12 +61,14 @@ class RabbitExecutor
                    StatsRegistry &stats, Engine *engine);
 
     /** Same contract as ComputeUnit::setRetireObserver. */
-    using RetireObserver = std::function<void(const Wavefront &)>;
     void
-    setRetireObserver(RetireObserver obs)
+    setRetireObserver(LazyUnit::RetireObserver obs)
     {
-        retire_obs_ = std::move(obs);
+        lazy_.setRetireObserver(std::move(obs));
     }
+
+    /** A kernel launches (see LazyUnit::beginKernel). */
+    void beginKernel() { lazy_.beginKernel(); }
 
     /**
      * Interpret one wavefront of the kernel to completion.
@@ -85,99 +80,32 @@ class RabbitExecutor
                       std::uint64_t max_insts = 4'000'000);
 
   private:
-    // --- Interpretation -------------------------------------------------
-    void execScalar(Wavefront &wave, const Instruction &inst, bool &done);
-    void execValu(Wavefront &wave, const Instruction &inst);
-    void execLoad(Wavefront &wave, const Instruction &inst);
-    void execStore(Wavefront &wave, const Instruction &inst);
-    void retire(Wavefront &wave);
+    // --- Lazy Unit port: every response applied at once -----------------
+    void requestIssue(Wavefront &wave, PendingLoad &pl) override;
+    void probeMasks(Wavefront &wave, PendingLoad &pl,
+                    const std::vector<Addr> &mask_txs) override;
+    bool maskResident(Addr mask_addr) override;
+    void sendData(Wavefront &wave, PendingLoad &pl,
+                  PendingLoad::Tx &tx) override;
+    void shortCircuit(Wavefront &wave, PendingLoad &pl,
+                      PendingLoad::Tx &tx) override;
 
-    std::uint32_t readSrc(const Wavefront &wave, const Src &s,
-                          unsigned lane) const;
-
-    // --- Lazy Unit mirror (same rules as ComputeUnit) -------------------
-    bool counterpartZero(const Wavefront &wave, const Instruction &inst,
-                         unsigned reg, unsigned lane) const;
-    void trySuspend(Wavefront &wave, PendingLoad &pl,
-                    const Instruction &inst, unsigned reg);
-
-    /**
-     * Make regs readable before inst executes: requalify stale
-     * suspensions, then (if anything is still Pending) run the decode
-     * look-ahead window -- suspending otimes sources and issuing every
-     * pending load consumed inside it, exactly like issueSoonNeeded.
-     * Afterwards every lane of regs is Ready or (correctly) Suspended.
-     */
-    void materialize(Wavefront &wave, const Instruction &inst,
-                     const std::vector<unsigned> &regs);
-    void windowIssue(Wavefront &wave);
-
-    /**
-     * One statically known decode-window operand: the instruction and
-     * register a scan from some pc would call consider() on. The window
-     * contents depend only on the kernel text, so they are precomputed
-     * per pc instead of re-decoded on every windowIssue.
-     */
-    struct WindowCand
-    {
-        const Instruction *inst;
-        unsigned reg;
-        bool otimesSrc;
-    };
-    void buildWindowCands(const Kernel &kernel);
-
-    void recordLoad(Wavefront &wave, const Instruction &inst,
-                    const std::array<Addr, wavefrontSize> &lane_addr);
-
-    /** Zero-mask arrival at record time (optimization (1)). */
-    void applyZeroing(Wavefront &wave, PendingLoad &pl);
-
-    /** Synchronous analogue of issuePendingLoad. */
-    void issuePending(Wavefront &wave, PendingLoad &pl);
-
-    void eliminateForRegs(Wavefront &wave, unsigned first,
-                          unsigned nregs);
-    void resolveWord(Wavefront &wave, PendingLoad &pl,
-                     PendingLoad::Tx &tx, unsigned reg_off, unsigned lane,
-                     std::uint32_t value);
-    void finishPendingIfResolved(Wavefront &wave, PendingLoad &pl);
-
-    // --- EagerZC L1 Zero Cache residency approximation ------------------
-    bool maskResident(Addr mask_addr) const;
-    void insertMaskLine(Addr mask_addr);
+    /** EagerZC: mask lines fetched by the last instruction become
+     *  resident in the FIFO. */
+    void landMaskLines();
 
     void heartbeat();
 
-    const GpuConfig &cfg_;
-    GlobalMemory &mem_;
     Engine *engine_;
     const ExecMode mode_;
-    /** Mirrors the MemoryHierarchy construction condition. */
-    const bool zc_;
-    RetireObserver retire_obs_;
 
     /** FIFO model of the L1 Zero Caches' aggregate line capacity. */
     const Addr zl1_line_;
     const std::size_t mask_line_cap_;
     std::deque<Addr> mask_fifo_;
     std::unordered_set<Addr> mask_lines_;
-
-    // Scratch, retained across instructions (steady state allocates
-    // nothing, like the CU's execute paths).
-    std::vector<unsigned> scratch_srcs_;
-    std::vector<unsigned> scratch_issue_ids_;
-    /** Per-pc decode-window candidates for window_kernel_. */
-    const Kernel *window_kernel_ = nullptr;
-    std::vector<std::vector<WindowCand>> window_cands_;
-    std::array<Addr, wavefrontSize> scratch_lane_addr_{};
-    std::vector<Addr> scratch_txs_;
-    std::vector<Addr> scratch_mask_bytes_;
-    std::vector<Addr> scratch_mask_txs_;
-    std::vector<unsigned> scratch_retire_ids_;
-    /** Recycled PendingLoad::txs heap blocks (see recordLoad). */
-    std::vector<std::vector<PendingLoad::Tx>> tx_pool_;
-    static constexpr std::size_t txPoolCap = 64;
-    Coalescer coalescer_;
+    /** Mask transactions fetched by the current instruction. */
+    std::vector<Addr> landing_masks_;
 
     std::uint64_t total_insts_ = 0;
     std::uint64_t beat_countdown_;
@@ -185,26 +113,7 @@ class RabbitExecutor
     /** Instructions between watchdog heartbeats. */
     static constexpr std::uint64_t beatInterval = 4096;
 
-    /** issueSoonNeeded's decode window length, verbatim. */
-    static constexpr unsigned lookAhead = 12;
-
-    Counter &valu_insts_;
-    Counter &salu_insts_;
-    Counter &load_insts_;
-    Counter &store_insts_;
-    Counter &txs_issued_;
-    Counter &txs_completed_;
-    Counter &txs_elim_zero_;
-    Counter &txs_elim_otimes_;
-    Counter &txs_elim_dead_;
-    Counter &txs_eager_fallback_;
-    Counter &store_txs_;
-    Counter &store_txs_zero_skipped_;
-    Counter &mask_reads_;
-    Counter &mask_writes_;
-    Counter &zc_short_circuits_;
-    Counter &lanes_zeroed_;
-    Counter &lanes_suspended_;
+    LazyUnit lazy_;
 };
 
 } // namespace lazygpu

@@ -7,31 +7,17 @@ namespace lazygpu
 
 Wavefront::Wavefront(const Kernel &kernel, unsigned wid)
     : kernel_(&kernel), wid_(wid), values_(kernel.numVregs),
-      state_(kernel.numVregs), busy_(kernel.numVregs, 0),
+      busy_(kernel.numVregs, 0),
       susp_(kernel.numVregs, 0), inflight_(kernel.numVregs, 0),
       zero_(kernel.numVregs, allLanes), owner_(kernel.numVregs, nullptr)
 {
-    // values_ and state_ are value-initialised by the vector fill
-    // constructor: every word reads 0 and every reg state reads Ready
-    // (== 0) without a second zeroing pass; the zero bitmap starts at
-    // allLanes to match.
-    static_assert(static_cast<std::uint8_t>(RegState::Ready) == 0);
-
+    // values_ is value-initialised by the vector fill constructor: every
+    // word reads 0 without a second zeroing pass; the zero bitmap starts
+    // at allLanes to match, and every lane starts Ready.
     sregs.assign(kernel.numSregs, 0);
     sregs[0] = wid;
     if (kernel.initSregs)
         kernel.initSregs(wid, sregs);
-}
-
-PendingLoad &
-Wavefront::addPending(PendingLoad &&pl)
-{
-    const unsigned id = next_pending_id_++;
-    pl.id = id;
-    auto [it, fresh] = pendings_.insert_or_assign(id, std::move(pl));
-    panic_if(!fresh, "pending-load id reused");
-    claimOwners(it->second);
-    return it->second;
 }
 
 PendingLoad &

@@ -3,10 +3,11 @@
  * Wavefront: the architectural context of one 64-lane wavefront.
  *
  * Holds the program counter, scalar registers, per-lane vector register
- * values, the per-(register, lane) scoreboard state that implements the
- * paper's busy bits, and the PendingLoad records that model the lazy
- * in-register transaction metadata of Sec 4.1. All members here are pure
- * state transitions; the ComputeUnit drives timing.
+ * values, the per-register lane bitmaps that implement the paper's busy
+ * bits, and the PendingLoad records that model the lazy in-register
+ * transaction metadata of Sec 4.1. All members here are pure state
+ * transitions; the LazyUnit applies the rules and the ComputeUnit drives
+ * timing.
  */
 
 #ifndef LAZYGPU_GPU_WAVEFRONT_HH
@@ -149,7 +150,8 @@ class TxWordList
     unsigned cap_ = inlineCap;
 };
 
-/** Per-(vreg, lane) scoreboard state. */
+/** One (vreg, lane) scoreboard state, as Wavefront::regState derives it
+ *  from the per-register lane bitmaps. */
 enum class RegState : std::uint8_t
 {
     Ready = 0,
@@ -262,11 +264,12 @@ class Wavefront
     // --- Vector register file slice ------------------------------------
     //
     // Each architectural register is one contiguous 64-lane plane
-    // (values_[r]), shadowed by three scoreboard bitmaps (busy /
-    // suspended / in-flight lanes as one LaneMask each) and a zero
-    // bitmap (bit set iff the lane's word is 0). Every per-lane write
-    // keeps the bitmaps coherent; the bulk plane writers below take the
-    // whole-mask shortcuts instead of 64 read-modify-writes.
+    // (values_[r]), shadowed by the scoreboard as three bitmaps (busy /
+    // suspended / in-flight lanes as one LaneMask each; suspended and
+    // in-flight lanes are busy, and never both) and a zero bitmap (bit
+    // set iff the lane's word is 0). A lane's RegState is derived from
+    // the bitmaps. Every per-lane write keeps them coherent; the bulk
+    // helpers below take whole-mask shortcuts instead.
 
     std::uint32_t
     vreg(unsigned r, unsigned lane) const
@@ -282,15 +285,21 @@ class Wavefront
         zero_[r] = (zero_[r] & ~bit) | (LaneMask(v == 0) << lane);
     }
 
-    RegState regState(unsigned r, unsigned lane) const
+    RegState
+    regState(unsigned r, unsigned lane) const
     {
-        return state_[r][lane];
+        const LaneMask bit = LaneMask(1) << lane;
+        if (!(busy_[r] & bit))
+            return RegState::Ready;
+        if (susp_[r] & bit)
+            return RegState::Suspended;
+        return (inflight_[r] & bit) ? RegState::InFlight
+                                    : RegState::Pending;
     }
 
     void
     setRegState(unsigned r, unsigned lane, RegState s)
     {
-        state_[r][lane] = s;
         const LaneMask bit = LaneMask(1) << lane;
         busy_[r] = (busy_[r] & ~bit) |
                    (LaneMask(s != RegState::Ready) << lane);
@@ -316,49 +325,44 @@ class Wavefront
     /** Lanes of register r whose word is zero (zero-probe bitmap). */
     LaneMask zeroMask(unsigned r) const { return zero_[r]; }
 
-    // Whole-register rows for the vectorized bulk paths. A caller that
-    // writes valueRow or stateRow directly must restore bitmap
-    // coherence through the bulk helpers below before any reader runs.
+    // Whole-register value row for the vectorized bulk paths. A caller
+    // that writes it directly must restore the zero bitmap (resolveLanes,
+    // refreshZeroMask or setZeroMask) before any reader runs.
     std::uint32_t *valueRow(unsigned r) { return values_[r].data(); }
     const std::uint32_t *valueRow(unsigned r) const
     {
         return values_[r].data();
     }
-    RegState *stateRow(unsigned r) { return state_[r].data(); }
 
     /** Bulk record-time fill: every lane of r becomes Pending. */
     void
     markAllPending(unsigned r)
     {
-        RegState *st = state_[r].data();
-        std::fill(st, st + wavefrontSize, RegState::Pending);
         busy_[r] = allLanes;
         susp_[r] = 0;
         inflight_[r] = 0;
     }
 
     /** Bulk Pending -> Suspended for the lanes in m. */
-    void
-    suspendLanes(unsigned r, LaneMask m)
-    {
-        for (LaneMask t = m; t; t &= t - 1)
-            state_[r][std::countr_zero(t)] = RegState::Suspended;
-        susp_[r] |= m; // the lanes were Pending: already busy
-    }
+    void suspendLanes(unsigned r, LaneMask m) { susp_[r] |= m; }
 
     /** Bulk Suspended -> Pending (requalification) for the lanes in m. */
+    void requalifyLanes(unsigned r, LaneMask m) { susp_[r] &= ~m; }
+
+    /** Bulk issue: the busy lanes of m (Pending or Suspended) become
+     *  InFlight. */
     void
-    requalifyLanes(unsigned r, LaneMask m)
+    markInFlight(unsigned r, LaneMask m)
     {
-        for (LaneMask t = m; t; t &= t - 1)
-            state_[r][std::countr_zero(t)] = RegState::Pending;
+        m &= busy_[r];
         susp_[r] &= ~m;
+        inflight_[r] |= m;
     }
 
     /**
      * Bulk resolve bookkeeping: the caller has already written the
-     * value and state rows of the lanes in m (now Ready); zero_bits
-     * carries their new zero-bitmap bits (subset of m).
+     * values of the lanes in m (now Ready); zero_bits carries their new
+     * zero-bitmap bits (subset of m).
      */
     void
     resolveLanes(unsigned r, LaneMask m, LaneMask zero_bits)
@@ -408,17 +412,13 @@ class Wavefront
         return r < owner_.size() ? owner_[r] : nullptr;
     }
 
-    /** Record a new pending load; assigns it a unique id. */
-    PendingLoad &addPending(PendingLoad &&pl);
-
     /**
-     * Create an empty pending load in place (avoids moving the filled
-     * record into the map); the caller fills it, then claims register
-     * ownership with claimOwners.
+     * Create a pending load in place with a unique id; the caller fills
+     * it, then claims register ownership with claimOwners.
      */
     PendingLoad &emplacePending();
 
-    /** Point pl's destination registers at it (addPending's tail). */
+    /** Point pl's destination registers at it. */
     void claimOwners(PendingLoad &pl);
 
     /** Remove a fully resolved pending load by id. */
@@ -455,7 +455,6 @@ class Wavefront
     const Kernel *kernel_;
     unsigned wid_;
     std::vector<std::array<std::uint32_t, wavefrontSize>> values_;
-    std::vector<std::array<RegState, wavefrontSize>> state_;
     std::vector<LaneMask> busy_;     //!< non-Ready lanes per vreg
     std::vector<LaneMask> susp_;     //!< Suspended lanes per vreg
     std::vector<LaneMask> inflight_; //!< InFlight lanes per vreg
@@ -464,8 +463,6 @@ class Wavefront
     unsigned next_pending_id_ = 0;
     /** reg -> the pending load that owns it, or nullptr. */
     std::vector<PendingLoad *> owner_;
-
-    friend class ComputeUnit;
 };
 
 } // namespace lazygpu

@@ -2,12 +2,11 @@
  * @file
  * Shared functional ISA semantics.
  *
- * One definition of the VALU arithmetic and the per-word load semantics,
- * used by every untimed interpreter (the verification reference executor
- * and the rabbit fast-path executor). The timed ComputeUnit keeps its own
- * switch so the hot pipeline stays self-contained, but the semantics here
- * are the single source of truth the differential checker compares it
- * against.
+ * One definition of the VALU arithmetic and the per-word load semantics.
+ * The verification reference executor and the Lazy Unit (which both the
+ * timed ComputeUnit and the rabbit executor run) use it directly on
+ * their scalar-oracle paths, and the vectorized plane core (isa/simd.hh)
+ * is required to match it bit for bit, lane by lane.
  */
 
 #ifndef LAZYGPU_ISA_EVAL_HH

@@ -10,10 +10,10 @@
  * AVX code. Per-lane semantics are exactly isa::evalValu's -- the scalar
  * one-lane-at-a-time interpreters remain the differential oracle.
  *
- * Predication follows the timed pipeline's optimization-(2) contract:
- * a source operand carries a LaneMask of lanes that read as zero (the
+ * Predication follows the Lazy Unit's optimization-(2) contract: a
+ * source operand carries a LaneMask of lanes that read as zero (the
  * Suspended lanes); VMacF32's accumulator (the destination plane) is
- * always read raw, as in ComputeUnit::execValu.
+ * always read raw, as on the scalar oracle path.
  *
  * Zero probes fold into per-plane zero bitmaps: zeroLanes computes the
  * "lane value == 0" mask of a plane in one vectorizable pass, and the
@@ -30,8 +30,8 @@
  * Scalar-oracle toggle: the LAZYGPU_SCALAR_REF CMake option flips the
  * compiled default, and the LAZYGPU_SCALAR_REF environment variable
  * (0/1) overrides it at process start; scalarRefEnabled() is what the
- * reference executor and the rabbit executor consult to route between
- * the scalar and vectorized paths.
+ * reference executor and the Lazy Unit (timed CU and rabbit executor)
+ * consult to route between the scalar and vectorized paths.
  */
 
 #ifndef LAZYGPU_ISA_SIMD_HH
@@ -97,7 +97,8 @@ namespace isa
 
 /**
  * True when the scalar one-lane-at-a-time interpreters should be used
- * as the functional path (the differential oracle). Compiled default is
+ * as the functional path (the differential oracle) by the reference
+ * executor and the Lazy Unit alike. Compiled default is
  * OFF (vectorized) unless the LAZYGPU_SCALAR_REF CMake option is set;
  * the LAZYGPU_SCALAR_REF environment variable (0/1) overrides either
  * way, read once per process.

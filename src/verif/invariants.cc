@@ -1,5 +1,6 @@
 #include "verif/invariants.hh"
 
+#include <bit>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -43,32 +44,28 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
         }
     }
 
+    // The scoreboard is the bitmaps alone: they must be well formed
+    // (suspended and in-flight lanes are busy, and never both), and the
+    // zero bitmap must match the register values.
     unsigned suspended_lanes = 0;
     for (unsigned r = 0; r < nvregs; ++r) {
-        LaneMask busy = 0, susp = 0, infl = 0, zero = 0;
-        for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-            const RegState st = wave.regState(r, lane);
-            const LaneMask bit = LaneMask(1) << lane;
-            busy |= st != RegState::Ready ? bit : 0;
-            susp |= st == RegState::Suspended ? bit : 0;
-            infl |= st == RegState::InFlight ? bit : 0;
-            zero |= wave.vreg(r, lane) == 0 ? bit : 0;
-            suspended_lanes += st == RegState::Suspended;
-        }
-        panic_if(busy != wave.busyMask(r),
-                 "wid %u: vreg %u busy bitmap %llx, recount %llx", wid, r,
-                 static_cast<unsigned long long>(wave.busyMask(r)),
+        const LaneMask busy = wave.busyMask(r);
+        const LaneMask susp = wave.suspendedMask(r);
+        const LaneMask infl = wave.inFlightMask(r);
+        panic_if(susp & ~busy,
+                 "wid %u: vreg %u suspended lanes %llx not all busy (%llx)",
+                 wid, r, static_cast<unsigned long long>(susp),
                  static_cast<unsigned long long>(busy));
-        panic_if(susp != wave.suspendedMask(r),
-                 "wid %u: vreg %u suspended bitmap %llx, recount %llx",
-                 wid, r,
-                 static_cast<unsigned long long>(wave.suspendedMask(r)),
-                 static_cast<unsigned long long>(susp));
-        panic_if(infl != wave.inFlightMask(r),
-                 "wid %u: vreg %u in-flight bitmap %llx, recount %llx",
-                 wid, r,
-                 static_cast<unsigned long long>(wave.inFlightMask(r)),
-                 static_cast<unsigned long long>(infl));
+        panic_if(infl & ~busy,
+                 "wid %u: vreg %u in-flight lanes %llx not all busy (%llx)",
+                 wid, r, static_cast<unsigned long long>(infl),
+                 static_cast<unsigned long long>(busy));
+        panic_if(susp & infl,
+                 "wid %u: vreg %u lanes %llx both suspended and in flight",
+                 wid, r, static_cast<unsigned long long>(susp & infl));
+        LaneMask zero = 0;
+        for (unsigned lane = 0; lane < wavefrontSize; ++lane)
+            zero |= LaneMask(wave.vreg(r, lane) == 0) << lane;
         panic_if(zero != wave.zeroMask(r),
                  "wid %u: vreg %u zero bitmap %llx, recount %llx", wid, r,
                  static_cast<unsigned long long>(wave.zeroMask(r)),
@@ -76,6 +73,7 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
         panic_if(busy != 0 && wave.pendingFor(r) == nullptr,
                  "wid %u: vreg %u has busy lanes but no pending load",
                  wid, r);
+        suspended_lanes += std::popcount(susp);
     }
     panic_if(suspended_lanes != 0 && !hasOtimesElimination(mode),
              "wid %u: %u Suspended lanes in mode %s", wid, suspended_lanes,

@@ -5,9 +5,10 @@
  * These walk a wavefront's scoreboard and PendingLoad metadata (and the
  * functional zero masks) and panic() on any internal inconsistency. They
  * are deliberately O(vregs x lanes) per call -- far too slow for the
- * default build -- so the in-pipeline call sites in compute_unit.cc are
- * compiled only under -DLAZYGPU_CHECK=ON (see the top-level CMake
- * option). The functions themselves are always built, so tests and the
+ * default build -- so the in-pipeline call sites (compute_unit.cc,
+ * lazy_unit.cc) are compiled only under -DLAZYGPU_CHECK=ON (see the
+ * top-level CMake option). The functions themselves are always built,
+ * so tests and the
  * differential checker can invoke them from a retire observer at full
  * speed in any build.
  */
@@ -27,7 +28,9 @@ namespace verif
 /**
  * Check every scoreboard / Lazy Unit invariant of one wavefront:
  *
- *  - busy_lanes_[r] equals a fresh recount of non-Ready lanes;
+ *  - the scoreboard bitmaps are well formed: suspended and in-flight
+ *    lanes are busy, and no lane is both;
+ *  - the zero bitmap matches a fresh recount of zero-valued lanes;
  *  - every register with busy lanes is owned by some pending load;
  *  - per pending load, wordsLeft equals the sum of its transactions'
  *    unresolved counts, and each transaction's unresolved count equals

@@ -5,9 +5,10 @@
  * the scalar interpreter for every VALU opcode under random operands and
  * suspension masks, the zero-bitmap probe, the batched load/store paths
  * of the reference executor across every access width, the Wavefront
- * scoreboard bitmap coherence, rabbit scalar-vs-plane lockstep (Fig 14
- * outcome classes) across all five ExecModes, and the A/B guard that
- * fails if auto-vectorization of the plane core silently breaks.
+ * bitmap-only scoreboard, scalar-vs-plane lockstep of the rabbit and
+ * the timed Gpu (classic and sharded engine: stats dump, Fig 14 outcome
+ * classes and memory image) across all five ExecModes, and the A/B guard
+ * that fails if auto-vectorization of the plane core silently breaks.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/harness.hh"
@@ -416,6 +418,31 @@ tinyKernel()
     return b.build(1);
 }
 
+/**
+ * The scoreboard is the bitmaps alone: suspended and in-flight lanes are
+ * busy and never both, and regState is a pure read of the bitmaps.
+ */
+void
+expectWellFormed(const Wavefront &w, unsigned r)
+{
+    const LaneMask busy = w.busyMask(r);
+    const LaneMask susp = w.suspendedMask(r);
+    const LaneMask infl = w.inFlightMask(r);
+    EXPECT_EQ(0u, susp & ~busy) << "vreg " << r;
+    EXPECT_EQ(0u, infl & ~busy) << "vreg " << r;
+    EXPECT_EQ(0u, susp & infl) << "vreg " << r;
+    EXPECT_EQ(busy & ~susp & ~infl, w.pendingMask(r)) << "vreg " << r;
+    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+        const LaneMask bit = LaneMask(1) << lane;
+        const RegState want = !(busy & bit)  ? RegState::Ready
+                              : (susp & bit) ? RegState::Suspended
+                              : (infl & bit) ? RegState::InFlight
+                                             : RegState::Pending;
+        EXPECT_EQ(want, w.regState(r, lane))
+            << "vreg " << r << " lane " << lane;
+    }
+}
+
 TEST(SimdEquiv, WavefrontBitmapsTrackPerLaneWrites)
 {
     const Kernel k = tinyKernel();
@@ -424,24 +451,36 @@ TEST(SimdEquiv, WavefrontBitmapsTrackPerLaneWrites)
     // Registers start zero-valued and Ready.
     EXPECT_EQ(allLanes, w.zeroMask(2));
     EXPECT_EQ(0u, w.busyMask(2));
+    expectWellFormed(w, 2);
 
     w.setVreg(2, 5, 7);
     EXPECT_EQ(allLanes & ~(LaneMask(1) << 5), w.zeroMask(2));
     w.setVreg(2, 5, 0);
     EXPECT_EQ(allLanes, w.zeroMask(2));
 
-    w.setRegState(1, 9, RegState::Pending);
-    EXPECT_EQ(LaneMask(1) << 9, w.busyMask(1));
-    EXPECT_EQ(LaneMask(1) << 9, w.pendingMask(1));
-    w.setRegState(1, 9, RegState::InFlight);
-    EXPECT_EQ(LaneMask(1) << 9, w.inFlightMask(1));
-    EXPECT_EQ(0u, w.pendingMask(1));
-    w.setRegState(1, 9, RegState::Suspended);
-    EXPECT_EQ(LaneMask(1) << 9, w.suspendedMask(1));
-    EXPECT_EQ(0u, w.inFlightMask(1));
-    w.setRegState(1, 9, RegState::Ready);
-    EXPECT_EQ(0u, w.busyMask(1));
+    // Every per-lane transition, in and out of each state, lands in
+    // exactly the bitmaps its derived state names.
+    const LaneMask bit = LaneMask(1) << 9;
+    for (const RegState from : {RegState::Pending, RegState::InFlight,
+                                RegState::Suspended, RegState::Ready}) {
+        for (const RegState to : {RegState::Pending, RegState::InFlight,
+                                  RegState::Suspended, RegState::Ready}) {
+            w.setRegState(1, 9, from);
+            w.setRegState(1, 9, to);
+            EXPECT_EQ(to, w.regState(1, 9));
+            EXPECT_EQ(to != RegState::Ready ? bit : 0, w.busyMask(1));
+            EXPECT_EQ(to == RegState::Pending ? bit : 0, w.pendingMask(1));
+            EXPECT_EQ(to == RegState::InFlight ? bit : 0,
+                      w.inFlightMask(1));
+            EXPECT_EQ(to == RegState::Suspended ? bit : 0,
+                      w.suspendedMask(1));
+            expectWellFormed(w, 1);
+        }
+    }
     EXPECT_FALSE(w.anyNotReady(1));
+    // Scoreboard writes never touch another lane or the zero bitmap.
+    EXPECT_EQ(allLanes, w.zeroMask(1));
+    expectWellFormed(w, 2);
 }
 
 TEST(SimdEquiv, WavefrontBulkHelpersKeepBitmapsCoherent)
@@ -452,35 +491,48 @@ TEST(SimdEquiv, WavefrontBulkHelpersKeepBitmapsCoherent)
     w.markAllPending(1);
     EXPECT_EQ(allLanes, w.busyMask(1));
     EXPECT_EQ(allLanes, w.pendingMask(1));
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane)
-        EXPECT_EQ(RegState::Pending, w.regState(1, lane));
+    expectWellFormed(w, 1);
 
     const LaneMask susp = 0xF0F0F0F0F0F0F0F0ull;
     w.suspendLanes(1, susp);
     EXPECT_EQ(susp, w.suspendedMask(1));
     EXPECT_EQ(allLanes & ~susp, w.pendingMask(1));
     EXPECT_EQ(RegState::Suspended, w.regState(1, 4));
+    expectWellFormed(w, 1);
 
     const LaneMask requal = 0x00F000F000F000F0ull;
     w.requalifyLanes(1, requal);
     EXPECT_EQ(susp & ~requal, w.suspendedMask(1));
     EXPECT_EQ(RegState::Pending, w.regState(1, 4));
+    expectWellFormed(w, 1);
 
-    // Resolve half the lanes: write values/states, then the bulk
+    // Issue takes Pending and Suspended lanes in flight alike; Ready
+    // lanes of the mask are left alone.
+    const LaneMask issued = 0x0000FFFF0000FFFFull;
+    w.markInFlight(1, issued);
+    EXPECT_EQ(issued, w.inFlightMask(1));
+    EXPECT_EQ((susp & ~requal) & ~issued, w.suspendedMask(1));
+    expectWellFormed(w, 1);
+    w.markInFlight(2, issued); // every lane Ready
+    EXPECT_EQ(0u, w.inFlightMask(2));
+    expectWellFormed(w, 2);
+
+    // Resolve half the lanes: write the values, then the bulk
     // bookkeeping must fold busy/susp/inflight and the zero bitmap.
     const LaneMask done = 0x00000000FFFFFFFFull;
     LaneMask zero_bits = 0;
     for (unsigned lane = 0; lane < 32; ++lane) {
         const std::uint32_t v = (lane & 1) ? 0u : lane;
         w.valueRow(1)[lane] = v;
-        w.stateRow(1)[lane] = RegState::Ready;
         zero_bits |= LaneMask(v == 0) << lane;
     }
     w.resolveLanes(1, done, zero_bits);
     EXPECT_EQ(allLanes & ~done, w.busyMask(1));
-    EXPECT_EQ((susp & ~requal) & ~done, w.suspendedMask(1));
+    EXPECT_EQ((susp & ~requal) & ~done & ~issued, w.suspendedMask(1));
+    EXPECT_EQ(issued & ~done, w.inFlightMask(1));
     // Upper lanes keep their initial zero bits; lower carry the new.
     EXPECT_EQ((allLanes & ~done) | zero_bits, w.zeroMask(1));
+    expectWellFormed(w, 1);
 
     // Bulk value writes re-derive the bitmap on request.
     for (unsigned lane = 0; lane < wavefrontSize; ++lane)
@@ -491,6 +543,7 @@ TEST(SimdEquiv, WavefrontBulkHelpersKeepBitmapsCoherent)
     for (unsigned lane = 0; lane < wavefrontSize; ++lane)
         want |= LaneMask((lane % 3) != 0) << lane;
     EXPECT_EQ(want, w.zeroMask(3));
+    expectWellFormed(w, 3);
 }
 
 // --- Rabbit lockstep across ExecModes --------------------------------------
@@ -506,37 +559,62 @@ rabbitConfig(ExecMode mode)
     return cfg;
 }
 
-// The rabbit executor on the scalar oracle and on the plane core must
-// agree on every gpu.rabbit.* counter -- in particular the Fig 14
-// outcome classes (issued / zero / otimes / dead eliminations) -- and
-// both must pass functional verification, in all five ExecModes.
+// Both executors run VALU on the plane core, with LAZYGPU_SCALAR_REF
+// routing them through the scalar oracle instead. On each executor --
+// the rabbit, the timed Gpu on the classic engine, and the timed Gpu on
+// the sharded engine with two domain threads -- the two paths must give
+// the same full stats dump (in particular the Fig 14 outcome classes:
+// issued / zero / otimes / dead eliminations) and the same final memory
+// image, in all five ExecModes.
 TEST(SimdEquiv, RabbitScalarVsPlaneLockstepAllModes)
 {
     WorkloadParams p;
     p.sparsity = 0.9; // sparse data drives the elimination machinery
     p.scale = 16;
 
+    struct Executor
+    {
+        const char *name;
+        unsigned timingWaves;
+        unsigned saThreads;
+    };
+    const Executor executors[] = {
+        {"rabbit", 0, 0},
+        {"timed", GpuConfig::timingWavesAll, 0},
+        {"timed-sa2", GpuConfig::timingWavesAll, 2},
+    };
+
     for (const ExecMode mode : verif::allModes()) {
-        auto runOnce = [&](int force) {
-            isa::setScalarRefForTesting(force);
-            Workload w = makeMM(p, 32);
-            Gpu gpu(rabbitConfig(mode), *w.mem);
-            for (const Kernel &k : w.kernels)
-                gpu.run(k);
-            std::map<std::string, std::uint64_t> counters;
-            for (const auto &[name, c] : gpu.stats().counters()) {
-                if (name.rfind("gpu.rabbit.", 0) == 0)
-                    counters[name] = c.value();
-            }
-            isa::setScalarRefForTesting(-1);
-            return counters;
-        };
-        const auto scalar = runOnce(1);
-        const auto plane = runOnce(0);
-        EXPECT_EQ(scalar, plane) << toString(mode);
-        const auto valu = plane.find("gpu.rabbit.valu_insts");
-        ASSERT_NE(plane.end(), valu) << toString(mode);
-        EXPECT_GT(valu->second, 0u) << toString(mode);
+        for (const Executor &ex : executors) {
+            auto runOnce = [&](int force) {
+                isa::setScalarRefForTesting(force);
+                Workload w = makeMM(p, 32);
+                GpuConfig cfg = rabbitConfig(mode);
+                cfg.timingWaves = ex.timingWaves;
+                cfg.saThreads = ex.saThreads;
+                Gpu gpu(cfg, *w.mem);
+                for (const Kernel &k : w.kernels)
+                    gpu.run(k);
+                std::uint64_t valu = 0;
+                for (const auto &[name, c] : gpu.stats().counters()) {
+                    if (name.size() > 11 &&
+                        name.compare(name.size() - 11, 11,
+                                     ".valu_insts") == 0) {
+                        valu += c.value();
+                    }
+                }
+                isa::setScalarRefForTesting(-1);
+                return std::make_tuple(gpu.stats().dumpJson(),
+                                       w.mem->contentHash(), valu);
+            };
+            const auto [scalar_stats, scalar_mem, scalar_valu] = runOnce(1);
+            const auto [plane_stats, plane_mem, plane_valu] = runOnce(0);
+            const std::string what =
+                toString(mode) + " on " + ex.name;
+            EXPECT_EQ(scalar_stats, plane_stats) << what;
+            EXPECT_EQ(scalar_mem, plane_mem) << what;
+            EXPECT_GT(plane_valu, 0u) << what;
+        }
     }
 }
 
