@@ -112,10 +112,10 @@ ComputeUnit::describeInto(std::vector<std::string> &out) const
         for (unsigned r = 0; r < w->kernel().numVregs; ++r)
             busy_regs += w->anyNotReady(r) ? 1 : 0;
         out.push_back(detail::formatString(
-            "cu %u wave %u simd %u: pc %u status %s, %zu pending "
+            "cu %u wave %u simd %u: pc %u status %s, %u pending "
             "loads, %u busy vregs, %u txs + %u masks outstanding",
             cu_id_, w->wid(), w->simdId, w->pc,
-            waveStatusName(w->status), w->pendings().size(), busy_regs,
+            waveStatusName(w->status), w->pendingCount(), busy_regs,
             w->outstanding_txs_, w->outstanding_masks_));
     }
 }
@@ -328,8 +328,28 @@ void
 ComputeUnit::markInFlight(Wavefront &wave, const PendingLoad &pl,
                           const PendingLoad::Tx &tx)
 {
-    for (const auto &[r, lane] : tx.words)
-        wave.markInFlight(pl.firstDst + r, LaneMask(1) << lane);
+    for (unsigned r = 0; r < pl.numRegs; ++r)
+        wave.markInFlight(pl.firstDst + r, tx.words[r]);
+}
+
+unsigned
+ComputeUnit::addFlight(const Flight &f)
+{
+    if (free_flights_.empty()) {
+        flights_.push_back(f);
+        return static_cast<unsigned>(flights_.size() - 1);
+    }
+    const unsigned slot = free_flights_.back();
+    free_flights_.pop_back();
+    flights_[slot] = f;
+    return slot;
+}
+
+ComputeUnit::Flight
+ComputeUnit::takeFlight(unsigned slot)
+{
+    free_flights_.push_back(slot);
+    return flights_[slot];
 }
 
 void
@@ -342,21 +362,20 @@ ComputeUnit::shortCircuit(Wavefront &wave, PendingLoad &pl,
     }
     markInFlight(wave, pl, tx);
     ++wave.outstanding_txs_;
-    Wavefront *wp = &wave;
-    const unsigned pl_id = pl.id;
-    const std::size_t tx_idx = &tx - pl.txs.data();
+    const unsigned slot = addFlight(Flight{
+        &wave, pl.slot, pl.id,
+        static_cast<unsigned>(&tx - pl.txs.data()), tx.addr, 0, 0, 0});
     engine_.scheduleIn(cfg_.lsuPipeLatency + cfg_.l1HitLatency,
-                       [this, wp, pl_id, tx_idx]() {
-        Wavefront &w = *wp;
+                       [this, slot]() {
+        const Flight f = takeFlight(slot);
+        Wavefront &w = *f.wave;
         --w.outstanding_txs_;
-        auto it = w.pendings().find(pl_id);
-        if (it != w.pendings().end()) {
-            PendingLoad &p = it->second;
-            lazy_.zeroFill(w, p, p.txs[tx_idx]);
-            lazy_.finishIfResolved(w, p);
+        if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId)) {
+            lazy_.zeroFill(w, *p, p->txs[f.txIdx]);
+            lazy_.finishIfResolved(w, *p);
         }
         wake(w);
-        maybeFinalize(wp);
+        maybeFinalize(&w);
         restallIfQuiescent();
     });
 }
@@ -370,46 +389,41 @@ ComputeUnit::sendData(Wavefront &wave, PendingLoad &pl,
     ++pl.inflightTxs;
 
     const Tick issue_tick = engine_.now();
-    const Tick record_tick = pl.recordTick;
-    lifecycle_.issued(issue_tick - record_tick);
+    lifecycle_.issued(issue_tick - pl.recordTick);
     std::uint64_t span_id = 0;
     if (trace_) {
         span_id = trace_->nextId();
         trace_->emit(TraceKind::TxBegin, traceTrack(), 0, issue_tick,
                      span_id, tx.addr);
     }
-    Wavefront *wp = &wave;
-    const unsigned pl_id = pl.id;
-    const Addr tx_addr = tx.addr;
-    const std::size_t tx_idx = &tx - pl.txs.data();
-    issueTx(tx_addr, false,
-            [this, wp, pl_id, tx_idx, tx_addr, issue_tick, record_tick,
-             span_id]() {
-        Wavefront &w = *wp;
+    const unsigned slot = addFlight(Flight{
+        &wave, pl.slot, pl.id, static_cast<unsigned>(&tx - pl.txs.data()),
+        tx.addr, issue_tick, pl.recordTick, span_id});
+    issueTx(tx.addr, false, [this, slot]() {
+        const Flight f = takeFlight(slot);
+        Wavefront &w = *f.wave;
         --w.outstanding_txs_;
-        const Tick lat = engine_.now() - issue_tick;
+        const Tick lat = engine_.now() - f.issueTick;
         mem_latency_.sample(static_cast<double>(lat));
-        lifecycle_.resolved(engine_.now() - record_tick);
+        lifecycle_.resolved(engine_.now() - f.recordTick);
         if (trace_) {
             trace_->emit(TraceKind::TxEnd, traceTrack(), 0, engine_.now(),
-                         span_id, tx_addr);
+                         f.spanId, f.addr);
         }
-        auto it = w.pendings().find(pl_id);
         bool load_drained = true;
-        if (it != w.pendings().end()) {
-            PendingLoad &p = it->second;
-            --p.inflightTxs;
-            load_drained = p.inflightTxs == 0;
+        if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId)) {
+            --p->inflightTxs;
+            load_drained = p->inflightTxs == 0;
             if (inject_ && inject_->wantScoreboardFlip(engine_.now()))
-                p.wordsLeft += 1;
-            lazy_.fill(w, p, p.txs[tx_idx]);
-            lazy_.finishIfResolved(w, p);
+                p->wordsLeft += 1;
+            lazy_.fill(w, *p, p->txs[f.txIdx]);
+            lazy_.finishIfResolved(w, *p);
         }
         // Waking per transaction would burn issue slots on futile
         // re-executions; wake once the whole load's data is in.
         if (load_drained)
             wake(w);
-        maybeFinalize(wp);
+        maybeFinalize(&w);
         restallIfQuiescent();
     });
 }
@@ -418,9 +432,6 @@ void
 ComputeUnit::probeMasks(Wavefront &wave, PendingLoad &pl,
                         const std::vector<Addr> &mask_txs)
 {
-    Wavefront *wp = &wave;
-    const unsigned pl_id = pl.id;
-    const Tick record_tick = pl.recordTick;
     pl.masksOutstanding += static_cast<unsigned>(mask_txs.size());
     for (Addr ma : mask_txs) {
         ++wave.outstanding_masks_;
@@ -430,57 +441,51 @@ ComputeUnit::probeMasks(Wavefront &wave, PendingLoad &pl,
             trace_->emit(TraceKind::MaskBegin, traceTrack(), 0,
                          engine_.now(), span_id, ma);
         }
-        issueMaskTx(ma, false, [this, wp, pl_id, ma, record_tick,
-                                span_id]() {
-            Wavefront &w = *wp;
-            --w.outstanding_masks_;
-            lifecycle_.maskProbed(engine_.now() - record_tick);
-            if (trace_) {
-                trace_->emit(TraceKind::MaskEnd, traceTrack(), 0,
-                             engine_.now(), span_id, ma);
-            }
-            bool masks_done = true;
-            if (auto it = w.pendings().find(pl_id);
-                it != w.pendings().end()) {
-                --it->second.masksOutstanding;
-                masks_done = it->second.masksOutstanding == 0;
-            }
-            if (hasZeroElimination(mode_))
-                onMaskResponse(w, pl_id, ma);
-            // The mask may have resolved everything; otherwise honour a
-            // parked issue request now that the Zero Read Rsp is back
-            // (re-running the look-ahead so optimization (2) sees the
-            // freshly zeroed counterpart values).
-            if (auto it = w.pendings().find(pl_id);
-                it != w.pendings().end() && masks_done &&
-                it->second.issueRequested &&
-                w.status != WaveStatus::Done) {
-                lazy_.windowIssue(w);
-                if (auto it2 = w.pendings().find(pl_id);
-                    it2 != w.pendings().end() &&
-                    it2->second.issueRequested) {
-                    lazy_.issue(w, it2->second);
-                }
-            }
-            if (masks_done)
-                wake(w);
-            maybeFinalize(wp);
-            restallIfQuiescent();
-        });
+        const unsigned slot = addFlight(Flight{
+            &wave, pl.slot, pl.id, 0, ma, 0, pl.recordTick, span_id});
+        issueMaskTx(ma, false, [this, slot]() { onMaskResponse(slot); });
     }
 }
 
 void
-ComputeUnit::onMaskResponse(Wavefront &wave, unsigned pl_id,
-                            Addr mask_addr)
+ComputeUnit::onMaskResponse(unsigned slot)
 {
-    auto it = wave.pendings().find(pl_id);
-    if (it == wave.pendings().end())
-        return;
-    // Data region covered by this 32 B mask transaction: 1 KiB.
-    lazy_.applyZeroMask(
-        wave, it->second, GlobalMemory::maskedDataAddr(mask_addr),
-        GlobalMemory::maskedDataAddr(mask_addr + transactionSize));
+    const Flight f = takeFlight(slot);
+    Wavefront &w = *f.wave;
+    --w.outstanding_masks_;
+    lifecycle_.maskProbed(engine_.now() - f.recordTick);
+    if (trace_) {
+        trace_->emit(TraceKind::MaskEnd, traceTrack(), 0, engine_.now(),
+                     f.spanId, f.addr);
+    }
+    bool masks_done = true;
+    if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId)) {
+        --p->masksOutstanding;
+        masks_done = p->masksOutstanding == 0;
+        // Data region covered by this 32 B mask transaction: 1 KiB.
+        if (hasZeroElimination(mode_)) {
+            lazy_.applyZeroMask(
+                w, *p, GlobalMemory::maskedDataAddr(f.addr),
+                GlobalMemory::maskedDataAddr(f.addr + transactionSize));
+        }
+    }
+    // The mask may have resolved everything; otherwise honour a parked
+    // issue request now that the Zero Read Rsp is back (re-running the
+    // look-ahead so optimization (2) sees the freshly zeroed
+    // counterpart values).
+    if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId);
+        p && masks_done && p->issueRequested &&
+        w.status != WaveStatus::Done) {
+        lazy_.windowIssue(w);
+        if (PendingLoad *p2 = w.pendingAt(f.plSlot, f.plId);
+            p2 && p2->issueRequested) {
+            lazy_.issue(w, *p2);
+        }
+    }
+    if (masks_done)
+        wake(w);
+    maybeFinalize(&w);
+    restallIfQuiescent();
 }
 
 void
@@ -595,7 +600,7 @@ ComputeUnit::maybeFinalize(Wavefront *wave)
 {
     if (wave->status != WaveStatus::Done || !wave->drained())
         return;
-    panic_if(!wave->pendings().empty(),
+    panic_if(wave->pendingCount() != 0,
              "retiring wavefront with unresolved pending loads");
     auto it = std::find_if(waves_.begin(), waves_.end(),
                            [wave](const std::unique_ptr<Wavefront> &w) {

@@ -190,7 +190,28 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
     /** The issued words of tx (Pending or Suspended) become InFlight. */
     static void markInFlight(Wavefront &wave, const PendingLoad &pl,
                              const PendingLoad::Tx &tx);
-    void onMaskResponse(Wavefront &wave, unsigned pl_id, Addr mask_addr);
+
+    /**
+     * One data transaction, short-circuit or zero-mask probe in the
+     * memory system: everything its response needs. The response
+     * callback captures only {this, flight slot}, which fits
+     * std::function's inline buffer, so no request allocates.
+     */
+    struct Flight
+    {
+        Wavefront *wave;
+        unsigned plSlot; //!< the load's slot and id (Wavefront::pendingAt)
+        unsigned plId;
+        unsigned txIdx;  //!< index into the load's txs (data only)
+        Addr addr;       //!< data or mask transaction address
+        Tick issueTick;  //!< when the data transaction was sent
+        Tick recordTick; //!< when the load was recorded
+        std::uint64_t spanId; //!< trace span (0 when not tracing)
+    };
+    unsigned addFlight(const Flight &f);
+    /** Copy out slot's flight and free the slot. */
+    Flight takeFlight(unsigned slot);
+    void onMaskResponse(unsigned slot);
 
     // --- Transaction plumbing -----------------------------------------------
     /** Issue one data transaction through the LSU pipe; cb on response. */
@@ -263,6 +284,10 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
     unsigned ready_waves_ = 0;
     /** Ready waves per SIMD, so tick() skips SIMDs with nothing to pick. */
     std::vector<unsigned> ready_per_simd_;
+
+    /** In-flight requests by slot; grows to the CU's peak in flight. */
+    std::vector<Flight> flights_;
+    std::vector<unsigned> free_flights_;
 
     Counter &simd_busy_cycles_;
     LazyUnit lazy_;

@@ -307,18 +307,18 @@ LazyUnit::retire(Wavefront &wave)
         retire_obs_(wave);
     // Permanently eliminate every still-parked request: the wavefront
     // is complete, so their values can never be observed (Sec 4.3).
-    // Elimination counts are order-independent; sorting pins the order
-    // across standard-library hash implementations.
-    std::vector<unsigned> &ids = scratch_retire_ids_;
-    ids.clear();
-    for (const auto &[id, pl] : wave.pendings())
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (unsigned id : ids) {
-        auto it = wave.pendings().find(id);
-        if (it == wave.pendings().end())
-            continue;
-        eliminateForRegs(wave, it->second.firstDst, it->second.numRegs);
+    // Elimination counts are order-independent; walking the loads in id
+    // (record) order keeps the lifecycle samples independent of which
+    // slots the store happened to recycle.
+    std::vector<std::pair<unsigned, unsigned>> &live = scratch_retire_;
+    live.clear();
+    wave.forEachPending([&](const PendingLoad &pl) {
+        live.emplace_back(pl.id, pl.slot);
+    });
+    std::sort(live.begin(), live.end());
+    for (const auto &[id, slot] : live) {
+        if (PendingLoad *pl = wave.pendingAt(slot, id))
+            eliminateForRegs(wave, pl->firstDst, pl->numRegs);
     }
 }
 
@@ -356,14 +356,17 @@ LazyUnit::trySuspend(Wavefront &wave, PendingLoad &pl,
     if (!to_suspend)
         return;
     wave.suspendLanes(reg, to_suspend);
-    lanes_suspended_ += std::popcount(to_suspend);
-    const Tick age = now() - pl.recordTick;
-    for (LaneMask t = to_suspend; t; t &= t - 1) {
-        const unsigned lane = std::countr_zero(t);
-        if (lifecycle_)
+    const unsigned n = static_cast<unsigned>(std::popcount(to_suspend));
+    lanes_suspended_ += n;
+    if (lifecycle_) {
+        const Tick age = now() - pl.recordTick;
+        for (unsigned i = 0; i < n; ++i)
             lifecycle_->suspended(age);
-        if (auto *tx = pl.txFor(pl.wordAddr(reg - pl.firstDst, lane)))
-            tx->hadSuspended = true;
+    }
+    const unsigned reg_off = reg - pl.firstDst;
+    for (PendingLoad::Tx &tx : pl.txs) {
+        if (tx.words[reg_off] & to_suspend)
+            tx.hadSuspended = true;
     }
 }
 
@@ -476,7 +479,7 @@ LazyUnit::buildWindowCands(const Kernel &kernel)
 void
 LazyUnit::windowIssue(Wavefront &wave)
 {
-    if (wave.pendings().empty())
+    if (wave.pendingCount() == 0)
         return;
     if (&wave.kernel() != window_kernel_)
         buildWindowCands(wave.kernel());
@@ -485,8 +488,8 @@ LazyUnit::windowIssue(Wavefront &wave)
     // state, and only then are the collected loads issued (responses
     // cannot influence the scan: on the timed path they arrive strictly
     // later).
-    std::vector<unsigned> &issue_ids = scratch_issue_ids_;
-    issue_ids.clear();
+    std::vector<std::pair<unsigned, unsigned>> &to_issue = scratch_issue_;
+    to_issue.clear();
     for (unsigned i = window_start_[wave.pc];
          i < window_start_[wave.pc + 1]; ++i) {
         const WindowCand &c = window_cands_[i];
@@ -495,16 +498,16 @@ LazyUnit::windowIssue(Wavefront &wave)
             continue;
         if (c.otimesSrc)
             trySuspend(wave, *pl, *c.inst, c.reg);
+        const std::pair<unsigned, unsigned> ref(pl->slot, pl->id);
         if (wave.pendingMask(c.reg) != 0 &&
-            std::find(issue_ids.begin(), issue_ids.end(), pl->id) ==
-                issue_ids.end()) {
-            issue_ids.push_back(pl->id);
+            std::find(to_issue.begin(), to_issue.end(), ref) ==
+                to_issue.end()) {
+            to_issue.push_back(ref);
         }
     }
-    for (unsigned id : issue_ids) {
-        auto it = wave.pendings().find(id);
-        if (it != wave.pendings().end())
-            port_.requestIssue(wave, it->second);
+    for (const auto &[slot, id] : to_issue) {
+        if (PendingLoad *pl = wave.pendingAt(slot, id))
+            port_.requestIssue(wave, *pl);
     }
 }
 
@@ -521,48 +524,60 @@ LazyUnit::record(Wavefront &wave, const Instruction &inst,
              opcodeName(inst.op).c_str(), nregs,
              std::tuple_size_v<RegMasks>);
 
-    PendingLoad &pl = wave.emplacePending();
+    std::unique_ptr<PendingLoad> fresh;
+    if (load_pool_.empty()) {
+        fresh = std::make_unique<PendingLoad>();
+    } else {
+        fresh = std::move(load_pool_.back());
+        load_pool_.pop_back();
+    }
+    PendingLoad &pl = wave.emplacePending(std::move(fresh));
     pl.op = inst.op;
     pl.firstDst = inst.dst;
     pl.numRegs = nregs;
     pl.laneAddr = lane_addr;
     pl.recordTick = now();
 
-    // Group every (reg, lane) word into its covering transaction,
-    // preserving lane order. Consecutive lanes almost always hit the
-    // same transaction (unit-stride loads), so remember the last one and
-    // only fall back to the linear lookup on an address change.
+    // Give every (reg, lane) word to its covering transaction; the
+    // transactions appear in lane-major, then register, order of their
+    // first word. A lane's words are contiguous, so when its whole span
+    // lies in one transaction all its register bits are set with one
+    // lookup. Consecutive lanes almost always hit the same transaction
+    // (unit-stride or broadcast loads), so remember the last one and only
+    // fall back to the linear search on an address change.
     const unsigned bytes_per_word =
         std::min(bytes_per_lane, maskGranularity);
-    if (!tx_pool_.empty()) {
-        // Reuse a scavenged transaction vector (already empty) so the
-        // per-load heap round trip disappears in steady state.
-        pl.txs = std::move(tx_pool_.back());
-        tx_pool_.pop_back();
-    }
-    pl.txs.reserve(nregs * wavefrontSize * std::size_t(bytes_per_word) /
-                   transactionSize);
     PendingLoad::Tx *last = nullptr;
+    const auto txAt = [&](Addr ta) -> PendingLoad::Tx & {
+        if (last && last->addr == ta)
+            return *last;
+        auto it = std::find_if(pl.txs.begin(), pl.txs.end(),
+                               [ta](const auto &tx) { return tx.addr == ta; });
+        last = it != pl.txs.end() ? &*it
+                                  : &pl.txs.emplace_back(PendingLoad::Tx{ta});
+        return *last;
+    };
+    const Addr lane_span = 4ull * (nregs - 1) + bytes_per_word;
     for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+        const LaneMask bit = LaneMask(1) << lane;
+        const Addr lo = lane_addr[lane];
+        if (txAlign(lo + lane_span - 1) == txAlign(lo)) {
+            PendingLoad::Tx &tx = txAt(txAlign(lo));
+            for (unsigned r = 0; r < nregs; ++r)
+                tx.words[r] |= bit;
+            continue;
+        }
         for (unsigned r = 0; r < nregs; ++r) {
             const Addr wa = pl.wordAddr(r, lane);
             const Addr ta = txAlign(wa);
             panic_if(txAlign(wa + bytes_per_word - 1) != ta,
                      "load word straddles a transaction; kernels must "
                      "use naturally aligned accesses");
-            PendingLoad::Tx *tx =
-                last && last->addr == ta ? last : pl.txFor(wa);
-            if (!tx) {
-                pl.txs.emplace_back();
-                tx = &pl.txs.back();
-                tx->addr = ta;
-            }
-            last = tx;
-            tx->words.emplace_back(static_cast<std::uint8_t>(r),
-                                   static_cast<std::uint8_t>(lane));
-            ++tx->unresolved;
+            txAt(ta).words[r] |= bit;
         }
     }
+    for (PendingLoad::Tx &tx : pl.txs)
+        tx.unresolved = tx.wordCount();
     pl.wordsLeft = nregs * wavefrontSize;
 
     // prepareOverwrite just resolved every destination lane (and stalls
@@ -624,7 +639,7 @@ LazyUnit::issue(Wavefront &wave, PendingLoad &pl)
     pl.dataIssued = true;
     const unsigned first_dst = pl.firstDst;
     // Only EagerZC's residency short-circuit reads all_zero; the
-    // per-word zero probes are pure overhead for the other modes.
+    // zero probes are pure overhead for the other modes.
     const bool probe_zero = mode_ == ExecMode::EagerZC;
     // Issuing a transaction changes only its own words' bits, so masks
     // taken once stay exact for every other transaction of the load.
@@ -638,33 +653,31 @@ LazyUnit::issue(Wavefront &wave, PendingLoad &pl)
         if (tx.outcome != TxOutcome::Unissued)
             continue;
         bool has_pending = false;
-        bool all_zero = probe_zero;
-        for (const auto &[r, lane] : tx.words) {
-            if ((pending[r] >> lane) & 1) {
-                has_pending = true;
-                if (!probe_zero)
-                    break; // the scan learns nothing else
-            }
-            // An unissued transaction's busy words are Pending or
-            // Suspended: the words its data would fill.
-            if (probe_zero && ((busy[r] >> lane) & 1) &&
-                !mem_.isZeroWord(pl.wordAddr(r, lane))) {
-                all_zero = false;
-            }
-        }
+        for (unsigned r = 0; r < pl.numRegs; ++r)
+            has_pending |= (tx.words[r] & pending[r]) != 0;
         if (!has_pending)
             continue; // entirely suspended/resolved: stays parked
 
         // EagerZC (Fig 9 comparison): the L1 Zero Cache is probed in
         // parallel with the data path; if the mask is on hand and every
-        // needed word is zero the L2 access is short-circuited -- but
-        // the request has already consumed the issue slot and LSU.
+        // needed word -- each busy (Pending or Suspended) word, the
+        // words its data would fill -- is zero, the L2 access is
+        // short-circuited. The request has already consumed the issue
+        // slot and LSU.
         tx.outcome = TxOutcome::Issued;
-        if (probe_zero && all_zero &&
-            port_.maskResident(GlobalMemory::maskAddr(tx.addr))) {
-            ++zc_short_circuits_;
-            port_.shortCircuit(wave, pl, tx);
-            continue;
+        if (probe_zero) {
+            const std::uint8_t zmb = mem_.zeroMaskByte(tx.addr);
+            bool all_zero = true;
+            for (unsigned r = 0; r < pl.numRegs; ++r) {
+                const LaneMask need = tx.words[r] & busy[r];
+                all_zero &= zeroLanesOf(pl, tx, r, need, zmb) == need;
+            }
+            if (all_zero &&
+                port_.maskResident(GlobalMemory::maskAddr(tx.addr))) {
+                ++zc_short_circuits_;
+                port_.shortCircuit(wave, pl, tx);
+                continue;
+            }
         }
         ++txs_issued_;
         port_.sendData(wave, pl, tx);
@@ -678,20 +691,35 @@ void
 LazyUnit::fill(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx)
 {
     ++txs_completed_;
-    // An issued transaction is never classified (resolveWord's Fig 14
-    // rule), so its words resolve in place.
-    if (pl.op == Opcode::LoadByte || pl.op == Opcode::LoadShort ||
-        inject_) {
-        fillWords(wave, pl, tx, false);
+    // An issued transaction is never classified (the Fig 14 rule), so its
+    // words resolve in place.
+    if (inject_) {
+        // One word at a time in word order: an armed injector picks the
+        // word it corrupts by that order.
+        tx.forEachWord([&](unsigned r, unsigned lane) {
+            const unsigned reg = pl.firstDst + r;
+            if (!((wave.busyMask(reg) >> lane) & 1))
+                return;
+            const std::uint32_t v = inject_->filterLoadWord(
+                now(), isa::loadRegWord(mem_, pl.op, pl.laneAddr[lane], r));
+            wave.setVreg(reg, lane, v);
+            wave.setRegState(reg, lane, RegState::Ready);
+            --tx.unresolved;
+            --pl.wordsLeft;
+        });
         return;
     }
-    // Hot path of both executors (one iteration per loaded word): dword
-    // loads write the register rows directly and fold the scoreboard
-    // and zero bits per register. All word starts of one transaction
-    // share a page, so the page pointer is hoisted; a word whose tail
-    // crosses the page edge takes the straddle path.
+    // Hot path of both executors: write the register rows directly and
+    // fold the scoreboard and zero bits per register. All word starts of
+    // one transaction share a page, so for dword loads the page pointer
+    // is hoisted; a word whose tail crosses the page edge takes the
+    // straddle path.
+    const bool dword = pl.op != Opcode::LoadByte && pl.op != Opcode::LoadShort;
     const std::uint8_t *page = mem_.pageForSpan(tx.addr);
-    const auto readWord = [&](Addr a) {
+    const auto readWord = [&](unsigned r, unsigned lane) {
+        if (!dword)
+            return isa::loadRegWord(mem_, pl.op, pl.laneAddr[lane], r);
+        const Addr a = pl.wordAddr(r, lane);
         const Addr off = a & (GlobalMemory::pageSize - 1);
         std::uint32_t v = 0;
         if (off + 4 > GlobalMemory::pageSize)
@@ -701,39 +729,19 @@ LazyUnit::fill(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx)
         return v;
     };
     unsigned resolved = 0;
-    if (pl.numRegs == 1) {
-        // Single-dword loads, the dominant case: the masks stay in
-        // registers.
-        std::uint32_t *row = wave.valueRow(pl.firstDst);
-        const LaneMask busy = wave.busyMask(pl.firstDst);
-        LaneMask done = 0, zero_bits = 0;
-        for (const auto &w : tx.words) {
-            const unsigned lane = w.second;
-            if (!((busy >> lane) & 1))
-                continue;
-            const std::uint32_t v = readWord(pl.laneAddr[lane]);
+    for (unsigned r = 0; r < pl.numRegs; ++r) {
+        const unsigned reg = pl.firstDst + r;
+        const LaneMask done = tx.words[r] & wave.busyMask(reg);
+        std::uint32_t *row = wave.valueRow(reg);
+        LaneMask zero_bits = 0;
+        for (LaneMask t = done; t; t &= t - 1) {
+            const unsigned lane = std::countr_zero(t);
+            const std::uint32_t v = readWord(r, lane);
             row[lane] = v;
-            done |= LaneMask(1) << lane;
             zero_bits |= LaneMask(v == 0) << lane;
         }
-        wave.resolveLanes(pl.firstDst, done, zero_bits);
-        resolved = std::popcount(done);
-    } else {
-        RegMasks busy{}, done{}, zero_bits{};
-        for (unsigned r = 0; r < pl.numRegs; ++r)
-            busy[r] = wave.busyMask(pl.firstDst + r);
-        for (const auto &[r, lane] : tx.words) {
-            if (!((busy[r] >> lane) & 1))
-                continue;
-            const std::uint32_t v = readWord(pl.wordAddr(r, lane));
-            wave.valueRow(pl.firstDst + r)[lane] = v;
-            done[r] |= LaneMask(1) << lane;
-            zero_bits[r] |= LaneMask(v == 0) << lane;
-        }
-        for (unsigned r = 0; r < pl.numRegs; ++r) {
-            wave.resolveLanes(pl.firstDst + r, done[r], zero_bits[r]);
-            resolved += std::popcount(done[r]);
-        }
+        wave.resolveLanes(reg, done, zero_bits);
+        resolved += std::popcount(done);
     }
     tx.unresolved -= resolved;
     pl.wordsLeft -= resolved;
@@ -742,30 +750,24 @@ LazyUnit::fill(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx)
 void
 LazyUnit::zeroFill(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx)
 {
-    fillWords(wave, pl, tx, true);
+    for (unsigned r = 0; r < pl.numRegs; ++r)
+        resolveZero(wave, pl, tx, r, tx.words[r]);
 }
 
-void
-LazyUnit::fillWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
-                    bool zero)
+LaneMask
+LazyUnit::zeroLanesOf(const PendingLoad &pl, const PendingLoad::Tx &tx,
+                      unsigned reg_off, LaneMask cand, std::uint8_t zmb)
 {
-    // One word at a time in word order (an armed injector picks the
-    // word it corrupts by that order).
-    for (const auto &[r, lane] : tx.words) {
-        const unsigned reg = pl.firstDst + r;
-        if (!((wave.busyMask(reg) >> lane) & 1))
-            continue;
-        std::uint32_t v = 0;
-        if (!zero) {
-            v = isa::loadRegWord(mem_, pl.op, pl.laneAddr[lane], r);
-            if (inject_)
-                v = inject_->filterLoadWord(now(), v);
-        }
-        wave.setVreg(reg, lane, v);
-        wave.setRegState(reg, lane, RegState::Ready);
-        --tx.unresolved;
-        --pl.wordsLeft;
+    if (zmb == 0xff)
+        return cand;
+    // Bit i of zmb covers the tx's i-th maskGranularity-byte word.
+    LaneMask zero = 0;
+    for (LaneMask t = zmb ? cand : 0; t; t &= t - 1) {
+        const unsigned lane = std::countr_zero(t);
+        const Addr off = pl.wordAddr(reg_off, lane) - tx.addr;
+        zero |= LaneMask((zmb >> (off / maskGranularity)) & 1) << lane;
     }
+    return zero;
 }
 
 void
@@ -781,57 +783,83 @@ LazyUnit::applyZeroMask(Wavefront &wave, PendingLoad &pl, Addr lo, Addr hi)
             tx.addr >= hi) {
             continue;
         }
-        for (const auto &[r, lane] : tx.words) {
-            if (!((pending[r] >> lane) & 1))
-                continue;
-            bool zero = mem_.isZeroWord(pl.wordAddr(r, lane));
-            if (inject_)
+        if (inject_) {
+            // Word by word in word order: the injector flips the probe
+            // of the n-th word it sees.
+            tx.forEachWord([&](unsigned r, unsigned lane) {
+                if (!((pending[r] >> lane) & 1))
+                    return;
+                bool zero = mem_.isZeroWord(pl.wordAddr(r, lane));
                 zero ^= inject_->flipZeroProbe(now());
-            if (zero) {
-                // Optimization (1): materialise the zero without memory
-                // traffic (busy bit cleared, register initialised to 0).
-                ++lanes_zeroed_;
-                ++tx.zeroedWords;
-                resolveWord(wave, pl, tx, r, lane, 0);
-            }
+                if (zero) {
+                    ++lanes_zeroed_;
+                    ++tx.zeroedWords;
+                    resolveZero(wave, pl, tx, r, LaneMask(1) << lane);
+                }
+            });
+            continue;
+        }
+        // Optimization (1): one mask byte covers the whole transaction;
+        // its zero words are materialised without memory traffic (busy
+        // bits cleared, registers initialised to 0), one register at a
+        // time. The transaction is classified once, after the last.
+        const std::uint8_t zmb = mem_.zeroMaskByte(tx.addr);
+        if (zmb == 0)
+            continue;
+        RegMasks zero{};
+        unsigned nzero = 0;
+        for (unsigned r = 0; r < pl.numRegs; ++r) {
+            zero[r] = zeroLanesOf(pl, tx, r, tx.words[r] & pending[r], zmb);
+            nzero += std::popcount(zero[r]);
+        }
+        if (nzero == 0)
+            continue;
+        lanes_zeroed_ += nzero;
+        tx.zeroedWords += nzero;
+        for (unsigned r = 0; r < pl.numRegs; ++r) {
+            if (zero[r])
+                resolveZero(wave, pl, tx, r, zero[r]);
         }
     }
     finishIfResolved(wave, pl);
 }
 
 void
-LazyUnit::resolveWord(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
-                      unsigned reg_off, unsigned lane, std::uint32_t value)
+LazyUnit::resolveZero(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
+                      unsigned reg_off, LaneMask m)
 {
     const unsigned reg = pl.firstDst + reg_off;
-    if (!((wave.busyMask(reg) >> lane) & 1))
+    m &= wave.busyMask(reg);
+    if (!m)
         return;
-    wave.setVreg(reg, lane, value);
-    wave.setRegState(reg, lane, RegState::Ready);
+    std::uint32_t *row = wave.valueRow(reg);
+    for (LaneMask t = m; t; t &= t - 1)
+        row[std::countr_zero(t)] = 0;
+    wave.resolveLanes(reg, m, m);
 
-    panic_if(tx.unresolved == 0, "transaction resolved twice");
-    --tx.unresolved;
-    --pl.wordsLeft;
-
-    if (tx.unresolved == 0 && tx.outcome == TxOutcome::Unissued) {
-        // This transaction will never be issued; classify why (Fig 14).
-        const Tick age = now() - pl.recordTick;
-        if (tx.zeroedWords == tx.words.size()) {
-            tx.outcome = TxOutcome::EliminatedZero;
-            ++txs_elim_zero_;
-            if (lifecycle_)
-                lifecycle_->eliminatedZero(age);
-        } else if (tx.hadSuspended) {
-            tx.outcome = TxOutcome::EliminatedOtimes;
-            ++txs_elim_otimes_;
-            if (lifecycle_)
-                lifecycle_->eliminatedOtimes(age);
-        } else {
-            tx.outcome = TxOutcome::EliminatedDead;
-            ++txs_elim_dead_;
-            if (lifecycle_)
-                lifecycle_->eliminatedDead(age);
-        }
+    const unsigned n = static_cast<unsigned>(std::popcount(m));
+    panic_if(n > tx.unresolved, "transaction resolved twice");
+    tx.unresolved -= n;
+    pl.wordsLeft -= n;
+    if (tx.unresolved != 0 || tx.outcome != TxOutcome::Unissued)
+        return;
+    // This transaction will never be issued; classify why (Fig 14).
+    const Tick age = now() - pl.recordTick;
+    if (tx.zeroedWords == tx.wordCount()) {
+        tx.outcome = TxOutcome::EliminatedZero;
+        ++txs_elim_zero_;
+        if (lifecycle_)
+            lifecycle_->eliminatedZero(age);
+    } else if (tx.hadSuspended) {
+        tx.outcome = TxOutcome::EliminatedOtimes;
+        ++txs_elim_otimes_;
+        if (lifecycle_)
+            lifecycle_->eliminatedOtimes(age);
+    } else {
+        tx.outcome = TxOutcome::EliminatedDead;
+        ++txs_elim_dead_;
+        if (lifecycle_)
+            lifecycle_->eliminatedDead(age);
     }
 }
 
@@ -840,14 +868,9 @@ LazyUnit::finishIfResolved(Wavefront &wave, PendingLoad &pl)
 {
     if (pl.wordsLeft != 0)
         return;
-    // Scavenge the transaction vector's heap block for the next record;
-    // clear() destroys the elements, so no stale transaction state
-    // survives the recycling.
-    if (pl.txs.capacity() != 0 && tx_pool_.size() < txPoolCap) {
-        pl.txs.clear();
-        tx_pool_.push_back(std::move(pl.txs));
-    }
-    wave.removePending(pl.id);
+    // Keep the load (and its transaction vector's heap block) for the
+    // next record; emplacePending resets every field.
+    load_pool_.push_back(wave.removePending(pl));
 }
 
 void
@@ -862,14 +885,9 @@ LazyUnit::eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs)
         // drop words whose lane is already Ready, so the recorded words
         // still cover every busy lane of r.
         for (PendingLoad::Tx &tx : pl->txs) {
-            for (const auto &w : tx.words) {
-                if (w.first != reg_off)
-                    continue;
-                const LaneMask parked =
-                    wave.busyMask(r) & ~wave.inFlightMask(r);
-                if ((parked >> w.second) & 1)
-                    resolveWord(wave, *pl, tx, reg_off, w.second, 0);
-            }
+            const LaneMask parked =
+                wave.busyMask(r) & ~wave.inFlightMask(r);
+            resolveZero(wave, *pl, tx, reg_off, tx.words[reg_off] & parked);
         }
         if (pl->wordsLeft == 0) {
             // Fully resolved: the load is removed outright, so no stale
@@ -882,23 +900,14 @@ LazyUnit::eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs)
         // loads overlap partially), and this register may be re-owned
         // by a newer writer the moment we return, while the old load's
         // mask/data responses are still in flight. Drop the dead words
-        // from the transaction lists so no response can reinterpret
+        // from the transactions so no response can reinterpret
         // scoreboard state it no longer owns. In-flight words are kept:
         // prepareOverwrite stalls on them, so they only appear here via
         // retire-time elimination, where the data response still needs
         // them.
         const LaneMask busy = wave.busyMask(r);
-        for (PendingLoad::Tx &tx : pl->txs) {
-            auto &ws = tx.words;
-            ws.erase(std::remove_if(
-                         ws.begin(), ws.end(),
-                         [&](const std::pair<std::uint8_t,
-                                             std::uint8_t> &w) {
-                             return w.first == reg_off &&
-                                    !((busy >> w.second) & 1);
-                         }),
-                     ws.end());
-        }
+        for (PendingLoad::Tx &tx : pl->txs)
+            tx.words[reg_off] &= busy;
     }
 }
 

@@ -28,7 +28,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/coalescer.hh"
@@ -183,15 +185,24 @@ class LazyUnit
     void trySuspend(Wavefront &wave, PendingLoad &pl,
                     const Instruction &inst, unsigned reg);
 
-    /** Resolve every busy word of issued tx: loaded from memory, or 0. */
-    void fillWords(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
-                   bool zero);
-
     void record(Wavefront &wave, const Instruction &inst,
                 const std::array<Addr, wavefrontSize> &lane_addr);
     void eliminateForRegs(Wavefront &wave, unsigned first, unsigned nregs);
-    void resolveWord(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
-                     unsigned reg_off, unsigned lane, std::uint32_t value);
+
+    /**
+     * Resolve the busy lanes of m in register reg_off of tx to 0 with no
+     * memory traffic (zero mask, elimination or EagerZC short-circuit).
+     * If that resolved the last word of an unissued tx, classify why it
+     * will never be issued (Fig 14): once per transaction.
+     */
+    void resolveZero(Wavefront &wave, PendingLoad &pl, PendingLoad::Tx &tx,
+                     unsigned reg_off, LaneMask m);
+
+    /** The lanes of cand whose word (reg_off, lane) of tx is zero, per
+     *  tx's zero mask byte zmb. */
+    static LaneMask zeroLanesOf(const PendingLoad &pl,
+                                const PendingLoad::Tx &tx, unsigned reg_off,
+                                LaneMask cand, std::uint8_t zmb);
 
     /**
      * One statically known decode-window operand: the instruction and
@@ -207,10 +218,6 @@ class LazyUnit
     void buildWindowCands(const Kernel &kernel);
 
     Tick now() const { return clock_ ? clock_->now() : 0; }
-
-    /** One lane mask per destination register of a load (LoadDwordX4
-     *  has the most). */
-    using RegMasks = std::array<LaneMask, 4>;
 
     const GpuConfig &cfg_;
     GlobalMemory &mem_;
@@ -234,17 +241,18 @@ class LazyUnit
     // Scratch, retained across instructions so the steady state
     // allocates nothing.
     std::vector<unsigned> scratch_srcs_;
-    std::vector<unsigned> scratch_issue_ids_;
+    /** (slot, id) of each load the decode window issues. */
+    std::vector<std::pair<unsigned, unsigned>> scratch_issue_;
     std::array<Addr, wavefrontSize> scratch_lane_addr_{};
     std::vector<Addr> scratch_txs_;
     std::vector<Addr> scratch_mask_bytes_;
     std::vector<Addr> scratch_mask_txs_;
-    std::vector<unsigned> scratch_retire_ids_;
-    /** Recycled PendingLoad::txs heap blocks (see record). */
-    std::vector<std::vector<PendingLoad::Tx>> tx_pool_;
-    /** Per unit, so the cap bounds each CU's idle vectors (64 per CU
-     *  cost ~10% peak RSS on 64 CUs). */
-    static constexpr std::size_t txPoolCap = 8;
+    /** (id, slot) of each load retire eliminates, sorted by id. */
+    std::vector<std::pair<unsigned, unsigned>> scratch_retire_;
+    /** Finished PendingLoads, with their transaction vectors' heap
+     *  blocks, recycled by record: live plus pooled loads never exceed
+     *  the unit's peak number of live loads. */
+    std::vector<std::unique_ptr<PendingLoad>> load_pool_;
     Coalescer coalescer_;
 
     Counter &valu_insts_;

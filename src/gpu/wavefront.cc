@@ -1,5 +1,7 @@
 #include "gpu/wavefront.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace lazygpu
@@ -21,13 +23,20 @@ Wavefront::Wavefront(const Kernel &kernel, unsigned wid)
 }
 
 PendingLoad &
-Wavefront::emplacePending()
+Wavefront::emplacePending(std::unique_ptr<PendingLoad> pl)
 {
-    const unsigned id = next_pending_id_++;
-    auto [it, fresh] = pendings_.try_emplace(id);
-    panic_if(!fresh, "pending-load id reused");
-    it->second.id = id;
-    return it->second;
+    std::vector<PendingLoad::Tx> txs = std::move(pl->txs);
+    txs.clear();
+    *pl = PendingLoad{};
+    pl->txs = std::move(txs);
+    pl->id = next_pending_id_++;
+    auto free = std::find(slots_.begin(), slots_.end(), nullptr);
+    if (free == slots_.end())
+        free = slots_.emplace(free);
+    pl->slot = static_cast<unsigned>(free - slots_.begin());
+    ++live_pendings_;
+    *free = std::move(pl);
+    return **free;
 }
 
 void
@@ -37,18 +46,15 @@ Wavefront::claimOwners(PendingLoad &pl)
         owner_[r] = &pl;
 }
 
-void
-Wavefront::removePending(unsigned id)
+std::unique_ptr<PendingLoad>
+Wavefront::removePending(PendingLoad &pl)
 {
-    auto it = pendings_.find(id);
-    if (it == pendings_.end())
-        return;
-    const PendingLoad &pl = it->second;
     for (unsigned r = pl.firstDst; r < pl.firstDst + pl.numRegs; ++r) {
         if (owner_[r] == &pl)
             owner_[r] = nullptr;
     }
-    pendings_.erase(it);
+    --live_pendings_;
+    return std::move(slots_[pl.slot]);
 }
 
 } // namespace lazygpu

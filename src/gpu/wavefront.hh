@@ -13,12 +13,10 @@
 #ifndef LAZYGPU_GPU_WAVEFRONT_HH
 #define LAZYGPU_GPU_WAVEFRONT_HH
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "isa/kernel.hh"
@@ -28,127 +26,9 @@
 namespace lazygpu
 {
 
-/**
- * The (reg offset, lane) word list of one pending-load transaction.
- *
- * A coalesced transaction feeds at most transactionSize/4 distinct
- * words, which fit the inline buffer; broadcast access patterns (many
- * lanes reading the same word) spill to the heap. Loads are recorded on
- * the simulator's hottest paths, so keeping the common case
- * allocation-free matters -- std::vector here costs one heap round trip
- * per transaction.
- */
-class TxWordList
-{
-  public:
-    using value_type = std::pair<std::uint8_t, std::uint8_t>;
-    using iterator = value_type *;
-    using const_iterator = const value_type *;
-
-    static constexpr unsigned inlineCap = transactionSize / 4;
-
-    TxWordList() = default;
-    TxWordList(const TxWordList &o) { *this = o; }
-    TxWordList(TxWordList &&o) noexcept { *this = std::move(o); }
-    ~TxWordList() { delete[] heap_; }
-
-    TxWordList &
-    operator=(const TxWordList &o)
-    {
-        if (this == &o)
-            return *this;
-        reset();
-        if (o.size_ > inlineCap) {
-            heap_ = new value_type[o.cap_];
-            cap_ = o.cap_;
-        }
-        size_ = o.size_;
-        std::copy(o.data(), o.data() + o.size_, data());
-        return *this;
-    }
-
-    TxWordList &
-    operator=(TxWordList &&o) noexcept
-    {
-        if (this == &o)
-            return *this;
-        reset();
-        if (o.heap_) {
-            heap_ = o.heap_;
-            cap_ = o.cap_;
-            size_ = o.size_;
-            o.heap_ = nullptr;
-        } else {
-            size_ = o.size_;
-            std::copy(o.inline_.begin(), o.inline_.begin() + o.size_,
-                      inline_.begin());
-        }
-        o.cap_ = inlineCap;
-        o.size_ = 0;
-        return *this;
-    }
-
-    value_type *data() { return heap_ ? heap_ : inline_.data(); }
-    const value_type *
-    data() const
-    {
-        return heap_ ? heap_ : inline_.data();
-    }
-    iterator begin() { return data(); }
-    iterator end() { return data() + size_; }
-    const_iterator begin() const { return data(); }
-    const_iterator end() const { return data() + size_; }
-    unsigned size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    void
-    reserve(unsigned n)
-    {
-        if (n > cap_)
-            grow(n);
-    }
-
-    void
-    emplace_back(std::uint8_t reg_off, std::uint8_t lane)
-    {
-        if (size_ == cap_)
-            grow(cap_ * 2);
-        data()[size_++] = value_type(reg_off, lane);
-    }
-
-    iterator
-    erase(iterator first, iterator last)
-    {
-        std::copy(last, end(), first);
-        size_ -= static_cast<unsigned>(last - first);
-        return first;
-    }
-
-  private:
-    void
-    grow(unsigned n)
-    {
-        value_type *bigger = new value_type[n];
-        std::copy(data(), data() + size_, bigger);
-        delete[] heap_;
-        heap_ = bigger;
-        cap_ = n;
-    }
-
-    void
-    reset()
-    {
-        delete[] heap_;
-        heap_ = nullptr;
-        cap_ = inlineCap;
-        size_ = 0;
-    }
-
-    std::array<value_type, inlineCap> inline_{};
-    value_type *heap_ = nullptr;
-    unsigned size_ = 0;
-    unsigned cap_ = inlineCap;
-};
+/** One lane mask per destination register of a load (LoadDwordX4 has
+ *  the most). */
+using RegMasks = std::array<LaneMask, 4>;
 
 /** One (vreg, lane) scoreboard state, as Wavefront::regState derives it
  *  from the per-register lane bitmaps. */
@@ -182,7 +62,7 @@ enum class TxOutcome : std::uint8_t
  */
 struct PendingLoad
 {
-    unsigned id = 0; //!< unique per wavefront; assigned by addPending
+    unsigned id = 0; //!< unique per wavefront; assigned by emplacePending
     Opcode op = Opcode::LoadDword;
     unsigned firstDst = 0;
     unsigned numRegs = 1;
@@ -204,28 +84,52 @@ struct PendingLoad
     struct Tx
     {
         Addr addr = 0; //!< transaction-aligned
-        /** The (reg offset, lane) words this transaction feeds. */
-        TxWordList words;
+        /**
+         * The words this transaction feeds: bit lane of words[r] is
+         * word (r, lane). Every word of a load belongs to exactly one of
+         * its transactions, so the load's transactions partition its
+         * words.
+         */
+        RegMasks words{};
         TxOutcome outcome = TxOutcome::Unissued;
         unsigned unresolved = 0;   //!< words not yet Ready/eliminated
         unsigned zeroedWords = 0;  //!< words resolved by the zero mask
         bool hadSuspended = false; //!< ever held a (2)-suspended word
+
+        unsigned
+        wordCount() const
+        {
+            unsigned n = 0;
+            for (LaneMask m : words)
+                n += static_cast<unsigned>(std::popcount(m));
+            return n;
+        }
+
+        /** Visit every word as f(reg offset, lane), lane-major then
+         *  register order (the order paths that must replay a fixed
+         *  word sequence rely on). */
+        template <typename F>
+        void
+        forEachWord(F &&f) const
+        {
+            LaneMask any = 0;
+            for (LaneMask m : words)
+                any |= m;
+            for (; any; any &= any - 1) {
+                const unsigned lane =
+                    static_cast<unsigned>(std::countr_zero(any));
+                for (unsigned r = 0; r < words.size(); ++r) {
+                    if ((words[r] >> lane) & 1)
+                        f(r, lane);
+                }
+            }
+        }
     };
 
     std::vector<Tx> txs;
     unsigned wordsLeft = 0; //!< unresolved words across all txs
-
-    /** The transaction covering the given word, or nullptr. */
-    Tx *
-    txFor(Addr word_addr)
-    {
-        const Addr aligned = word_addr & ~Addr(transactionSize - 1);
-        for (Tx &tx : txs) {
-            if (tx.addr == aligned)
-                return &tx;
-        }
-        return nullptr;
-    }
+    /** The slot store index (see Wavefront::pendingAt). */
+    unsigned slot = 0;
 
     /** Per-lane word address for destination register first+reg_off. */
     Addr
@@ -390,6 +294,13 @@ class Wavefront
     bool anyInFlight(unsigned r) const { return inflight_[r] != 0; }
 
     // --- Pending (lazy) loads -------------------------------------------
+    //
+    // Live loads sit in a slot store whose slots are recycled as loads
+    // finish, so it grows only to the wavefront's peak number of live
+    // loads. The PendingLoad objects themselves come from, and return
+    // to, the executor's pool (LazyUnit), so recording allocates nothing
+    // in steady state.
+
     /** True iff some pending load owns register r (cheap precheck). */
     bool
     hasPendingOwner(unsigned r) const
@@ -397,9 +308,7 @@ class Wavefront
         return r < owner_.size() && owner_[r] != nullptr;
     }
 
-    // The pending load owning register r, or nullptr. pendings_ is
-    // node-based, so the owner pointers stay valid across rehashes and
-    // unrelated insert/erase.
+    /** The pending load owning register r, or nullptr. */
     PendingLoad *
     pendingFor(unsigned r)
     {
@@ -413,31 +322,49 @@ class Wavefront
     }
 
     /**
-     * Create a pending load in place with a unique id; the caller fills
-     * it, then claims register ownership with claimOwners.
+     * The live load with this id in this slot, or nullptr once it was
+     * removed (a response names its load by both: the slot may have been
+     * recycled for a newer load in the meantime).
      */
-    PendingLoad &emplacePending();
+    PendingLoad *
+    pendingAt(unsigned slot, unsigned id)
+    {
+        PendingLoad *pl = slots_[slot].get();
+        return pl && pl->id == id ? pl : nullptr;
+    }
+
+    /**
+     * Install pl, a fresh or recycled load, in a free slot with a unique
+     * id and every other field reset (its transaction vector keeps its
+     * capacity, emptied); the caller fills it, then claims register
+     * ownership with claimOwners.
+     */
+    PendingLoad &emplacePending(std::unique_ptr<PendingLoad> pl);
 
     /** Point pl's destination registers at it. */
     void claimOwners(PendingLoad &pl);
 
-    /** Remove a fully resolved pending load by id. */
-    void removePending(unsigned id);
+    /** Remove a fully resolved pending load, handing it back for reuse. */
+    std::unique_ptr<PendingLoad> removePending(PendingLoad &pl);
 
-    std::unordered_map<unsigned, PendingLoad> &pendings()
-    {
-        return pendings_;
-    }
+    /** Number of live pending loads. */
+    unsigned pendingCount() const { return live_pendings_; }
 
-    const std::unordered_map<unsigned, PendingLoad> &pendings() const
+    /** Visit every live pending load (slot order, not id order). */
+    template <typename F>
+    void
+    forEachPending(F &&f) const
     {
-        return pendings_;
+        for (const auto &pl : slots_) {
+            if (pl)
+                f(*pl);
+        }
     }
 
     bool
     hasUnfinishedMemory() const
     {
-        return !pendings_.empty() || outstanding_txs_ > 0;
+        return live_pendings_ != 0 || outstanding_txs_ > 0;
     }
 
     /** Count of this wavefront's in-flight data transactions. */
@@ -459,7 +386,9 @@ class Wavefront
     std::vector<LaneMask> susp_;     //!< Suspended lanes per vreg
     std::vector<LaneMask> inflight_; //!< InFlight lanes per vreg
     std::vector<LaneMask> zero_;     //!< zero-valued lanes per vreg
-    std::unordered_map<unsigned, PendingLoad> pendings_; //!< by id
+    /** Pending-load slots, null when free. */
+    std::vector<std::unique_ptr<PendingLoad>> slots_;
+    unsigned live_pendings_ = 0;
     unsigned next_pending_id_ = 0;
     /** reg -> the pending load that owns it, or nullptr. */
     std::vector<PendingLoad *> owner_;

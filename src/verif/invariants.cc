@@ -23,15 +23,21 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
     // exactly that load -- a stale word surviving past eliminateForRegs
     // is how responses corrupt a newer writer's scoreboard state.
     std::vector<const PendingLoad *> holder(nvregs, nullptr);
-    for (const auto &[id, pl] : wave.pendings()) {
+    wave.forEachPending([&](const PendingLoad &pl) {
+        const unsigned id = pl.id;
         panic_if(pl.firstDst + pl.numRegs > nvregs,
                  "wid %u: pending load %u claims vreg %u of %u", wid, id,
                  pl.firstDst + pl.numRegs - 1, nvregs);
         for (const auto &tx : pl.txs) {
-            for (const auto &[r, lane] : tx.words) {
+            tx.forEachWord([&](unsigned r, unsigned lane) {
+                panic_if(r >= pl.numRegs,
+                         "wid %u: load %u tx 0x%llx holds a word of "
+                         "register offset %u past its %u registers", wid,
+                         id, static_cast<unsigned long long>(tx.addr), r,
+                         pl.numRegs);
                 const unsigned reg = pl.firstDst + r;
                 if (wave.regState(reg, lane) == RegState::Ready)
-                    continue;
+                    return;
                 panic_if(holder[reg] != nullptr && holder[reg] != &pl,
                          "wid %u: vreg %u has unresolved words in two "
                          "pending loads", wid, reg);
@@ -40,9 +46,9 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
                          "wid %u: load %u holds an unresolved word of "
                          "vreg %u lane %u it no longer owns", wid, id,
                          reg, lane);
-            }
+            });
         }
-    }
+    });
 
     // The scoreboard is the bitmaps alone: they must be well formed
     // (suspended and in-flight lanes are busy, and never both), and the
@@ -80,16 +86,17 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
              toString(mode).c_str());
 
     unsigned inflight_txs = 0;
-    for (const auto &[id, pl] : wave.pendings()) {
+    wave.forEachPending([&](const PendingLoad &pl) {
+        const unsigned id = pl.id;
         inflight_txs += pl.inflightTxs;
         unsigned words_left = 0;
         for (const auto &tx : pl.txs) {
             unsigned not_ready = 0;
-            for (const auto &[r, lane] : tx.words) {
+            tx.forEachWord([&](unsigned r, unsigned lane) {
                 const RegState st =
                     wave.regState(pl.firstDst + r, lane);
                 if (st == RegState::Ready)
-                    continue;
+                    return;
                 ++not_ready;
                 if (st == RegState::InFlight) {
                     panic_if(tx.outcome != TxOutcome::Issued,
@@ -110,7 +117,7 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
                              "in a transaction not flagged hadSuspended",
                              wid, pl.firstDst + r, lane);
                 }
-            }
+            });
             panic_if(not_ready != tx.unresolved,
                      "wid %u: load %u tx 0x%llx unresolved %u, "
                      "recount %u", wid, id,
@@ -121,7 +128,7 @@ checkWavefront(const Wavefront &wave, ExecMode mode)
         panic_if(words_left != pl.wordsLeft,
                  "wid %u: load %u wordsLeft %u, recount %u", wid, id,
                  pl.wordsLeft, words_left);
-    }
+    });
     panic_if(wave.outstanding_txs_ < inflight_txs,
              "wid %u: %u outstanding data txs < %u pending-load in-flight "
              "txs", wid, wave.outstanding_txs_, inflight_txs);

@@ -12,6 +12,7 @@
 #include "analysis/harness.hh"
 #include "gpu/gpu.hh"
 #include "isa/kernel.hh"
+#include "verif/reference.hh"
 
 namespace lazygpu
 {
@@ -344,6 +345,70 @@ TEST(LazyMechanics, MultiRegisterLoadsTrackPerRegisterBusyBits)
             EXPECT_FLOAT_EQ(expect, m2.readF32(out + 4ull * lane))
                 << toString(mode) << " lane " << lane;
         }
+    }
+}
+
+TEST(LazyMechanics, BroadcastX4LoadsClassifyEveryTransaction)
+{
+    // LoadDwordX4 with every 16 lanes reading the same 16 B: each 32 B
+    // transaction feeds 32 lanes x 4 registers = 128 words. Load A has
+    // an all-zero first transaction and a non-zero second one; one of
+    // its registers is overwritten while the load lives on (its words
+    // are dropped), one is suspended by a multiply with zero, one is
+    // read and one never is. Load B is all zero and read; load C is
+    // non-zero and never read.
+    GlobalMemory mem;
+    const Addr a = mem.alloc(4096);
+    const Addr b = mem.alloc(4096);
+    const Addr c = mem.alloc(4096);
+    const Addr out = mem.alloc(4096);
+    mem.writeU32(b, 0); // materialise, all zero
+    for (unsigned i = 0; i < 8; ++i)
+        mem.writeF32(a + 32 + 4ull * i, 1.5f + static_cast<float>(i));
+    for (unsigned i = 0; i < 16; ++i)
+        mem.writeF32(c + 4ull * i, 3.0f);
+
+    KernelBuilder kb("broadcast_x4");
+    kb.threadId(0);
+    kb.valu(Opcode::VShrU32, 1, Src::vreg(0), Src::imm(4));
+    kb.valu(Opcode::VShlU32, 1, Src::vreg(1), Src::imm(4)); // 16 B/group
+    kb.load(Opcode::LoadDwordX4, 4, 1, a);
+    kb.load(Opcode::LoadDwordX4, 12, 1, b);
+    kb.load(Opcode::LoadDwordX4, 16, 1, c);
+    kb.valu(Opcode::VMov, 9, Src::immF(0.0f));
+    kb.valu(Opcode::VMov, 4, Src::immF(1.0f)); // dead: A lives on
+    kb.valu(Opcode::VMulF32, 8, Src::vreg(5), Src::vreg(9)); // suspend
+    kb.valu(Opcode::VAddF32, 10, Src::vreg(6), Src::vreg(12));
+    kb.valu(Opcode::VAddF32, 10, Src::vreg(10), Src::vreg(4));
+    kb.valu(Opcode::VAddF32, 10, Src::vreg(10), Src::vreg(8));
+    kb.valu(Opcode::VShlU32, 2, Src::vreg(0), Src::imm(2));
+    kb.store(Opcode::StoreDword, 2, 10, out);
+    Kernel k = kb.build(1);
+
+    GlobalMemory ref_mem = mem;
+    ASSERT_TRUE(verif::runReference(k, ref_mem).error.empty());
+    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
+        const float v6 = lane < 32 ? 0.0f : 1.5f + (lane / 16 - 2) * 4 + 2;
+        ASSERT_FLOAT_EQ(v6 + 1.0f, ref_mem.readF32(out + 4ull * lane))
+            << "lane " << lane;
+    }
+
+    for (ExecMode mode : {ExecMode::Baseline, ExecMode::LazyCore,
+                          ExecMode::LazyGPU}) {
+        GlobalMemory m2 = mem;
+        Gpu gpu(oneCu(mode), m2);
+        gpu.run(k);
+        EXPECT_EQ(ref_mem.contentHash(), m2.contentHash()) << toString(mode);
+        if (mode != ExecMode::LazyGPU)
+            continue;
+        // A: the zero transaction is zeroed except for the suspended
+        // words (otimes); the non-zero one is issued for v6. B: both
+        // zero. C: both dead at retirement.
+        EXPECT_EQ(1u, ctr(gpu, "txs_issued"));
+        EXPECT_EQ(2u, ctr(gpu, "txs_elim_zero"));
+        EXPECT_EQ(1u, ctr(gpu, "txs_elim_otimes"));
+        EXPECT_EQ(2u, ctr(gpu, "txs_elim_dead"));
+        EXPECT_EQ(64u, ctr(gpu, "lanes_suspended")); // all of v5
     }
 }
 
