@@ -57,7 +57,7 @@ parseSaThreads(const std::string &value, const char *what)
     return static_cast<unsigned>(v);
 }
 
-/** LAZYGPU_SA_THREADS env var, or 0 (classic engine) when unset. */
+/** LAZYGPU_SA_THREADS env var, or 0 (domains inline) when unset. */
 unsigned
 defaultSaThreads()
 {

@@ -40,13 +40,13 @@
  *                    the fast functional rabbit executor with exact
  *                    sparsity accounting and extrapolated timing stats;
  *                    'all' (the default) disables sampling
- *   --sa-threads N   intra-GPU parallel simulation: shard every cell's
- *                    simulation across per-shader-array event domains
- *                    driven by N threads (0, the default, keeps the
- *                    classic single-domain engine; falls back to the
+ *   --sa-threads N   intra-GPU parallel simulation: run every cell's
+ *                    per-shader-array and per-L2-bank event domains on
+ *                    N threads (0 or 1, the default, runs them inline
+ *                    on the calling thread; falls back to the
  *                    LAZYGPU_SA_THREADS env var). Results are identical
- *                    for any N >= 1; composed with --jobs > 1 the value
- *                    is clamped to hardware_concurrency / jobs
+ *                    for any N; composed with --jobs > 1 the value is
+ *                    clamped to hardware_concurrency / jobs
  *
  * Remaining arguments are returned positionally for bench-specific
  * knobs (`--quick`, wave counts, ...). Printed tables and JSON
@@ -90,7 +90,7 @@ struct BenchOptions
     /** --timing-waves sampling window; timingWavesAll disables it. */
     unsigned timingWaves = GpuConfig::timingWavesAll;
 
-    /** --sa-threads domain threads per cell; 0 = classic engine. */
+    /** --sa-threads domain threads per cell; 0 and 1 run them inline. */
     unsigned saThreads = 0;
 
     /** Arguments other than the shared flags, in order. */

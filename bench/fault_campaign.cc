@@ -24,9 +24,9 @@
  *                      (scoreboard flip => detected, never-fires =>
  *                      masked) and exit nonzero on a mismatch
  *
- * Cells pin saThreads = 0 and full timing internally (runFaultCell), so
- * BENCH_resilience.json is byte-identical across --jobs and
- * --sa-threads for a fixed grid.
+ * Cells pin full timing internally (runFaultCell); the schedule does not
+ * depend on the domain-thread count, so BENCH_resilience.json is
+ * byte-identical across --jobs and --sa-threads for a fixed grid.
  */
 
 #include <cstdio>

@@ -10,7 +10,7 @@
  * (LazyCore crosses the baseline around 2048 waves, peak ~1.4x).
  * Pass --timing-waves all to run the grid fully timed (hours), or a
  * wave-count argument to cap the grid. Composes with --sa-threads to
- * shard each cell's timed window across domain threads.
+ * run each cell's timed window on several domain threads.
  */
 
 #include <cstdio>

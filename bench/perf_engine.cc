@@ -433,17 +433,19 @@ main(int argc, char **argv)
     // off and on. Off is the default and must stay within the
     // trace-sink contract — one predicted branch per tick site — with
     // an acceptance bar of <2% against a build that predates the
-    // subsystem; on pays the incremental bucket arithmetic. A single
-    // ~0.4 s run per side spreads far wider than that cost, so the
-    // sides alternate (off-on, then on-off) for kCycAcctRuns pairs and
-    // each reports its best run and its spread (slowest / best).
+    // subsystem; on pays the incremental bucket arithmetic. Short runs
+    // spread far wider than that cost, so the cell is sized for about
+    // 1.5 s per run (8192 waves on a 4-vCPU x86 host) and the sides
+    // alternate (off-on, then on-off) for kCycAcctRuns pairs; each
+    // reports its best run and its spread (slowest / best).
     constexpr int kCycAcctRuns = 5;
-    std::printf("\ncycacct A/B (MM 1024 waves, LazyCore, best of %d "
-                "alternating runs):\n", kCycAcctRuns);
+    constexpr unsigned kCycAcctWaves = 8192;
+    std::printf("\ncycacct A/B (MM %u waves, LazyCore, best of %d "
+                "alternating runs):\n", kCycAcctWaves, kCycAcctRuns);
     auto cycacctCell = [](bool on) {
         WorkloadParams p;
         p.scale = 16;
-        Workload w = makeMM(p, 1024);
+        Workload w = makeMM(p, kCycAcctWaves);
         GpuConfig cfg = GpuConfig::r9Nano().scaled(4);
         cfg.mode = ExecMode::LazyCore;
         cfg.cycleAccounting = on;
@@ -665,8 +667,8 @@ main(int argc, char **argv)
 
     // Intra-GPU parallel simulation: (a) the domain-scheduler micro at
     // 1/2/4/8 worker threads, (b) the paper-scale 64-CU fig03 MM cell
-    // (2048 waves, fully timed) on the sharded engine at the same
-    // thread counts. Simulated results are thread-count-independent
+    // (2048 waves, fully timed) at the same domain-thread counts; the
+    // one-thread row is the baseline. Simulated results are thread-count-independent
     // (pinned by test_sa_parallel.cc); these numbers record what the
     // parallelism buys in wall clock on THIS host -- on a single-core
     // runner the overhead of the extra threads shows up honestly as
@@ -707,10 +709,8 @@ main(int argc, char **argv)
         Tick cycles = 0;
         for (const Kernel &k : w.kernels)
             cycles += gpu.run(k).estCycles;
-        SaCellResult out{secondsSince(t0), cycles, {}};
-        if (gpu.domains())
-            out.prof = gpu.domains()->profile();
-        return out;
+        return SaCellResult{secondsSince(t0), cycles,
+                            gpu.domains()->profile()};
     };
     std::vector<double> sa_cell_secs;
     std::vector<DomainScheduler::Profile> sa_cell_profs;
@@ -759,6 +759,7 @@ main(int argc, char **argv)
 
     Json cycacct_ab = Json::object();
     cycacct_ab.set("runs", kCycAcctRuns)
+        .set("waves", kCycAcctWaves)
         .set("off_ms", cyc_off_secs * 1e3)
         .set("on_ms", cyc_on_secs * 1e3)
         .set("off_spread", cyc_off_spread)

@@ -14,7 +14,8 @@
  *   MaskWrite, StoreTx  -> instant events on the CU's thread
  *   CacheDepth          -> "C" counters named after the cache (MSHRs in
  *                          use + queued requests)
- *   EngineCounters      -> "C" counters for the event engine (queued
+ *   EngineCounters      -> "C" counters per event domain, named
+ *                          "engine.saN" / "engine.bankN" (queued
  *                          events, pool chunks, active clocked)
  *   StatSample          -> "C" counters for every sampled TimeSeries
  *                          stat, named generically from the meta's
@@ -44,6 +45,7 @@ struct Meta
     std::string raw = "{}";
     std::string mode = "unknown";
     unsigned cusPerSa = 1;
+    unsigned numShaderArrays = 1;
     std::vector<std::string> cacheTracks;
     std::vector<std::string> seriesTracks;
 };
@@ -67,6 +69,8 @@ parseMeta(const std::string &raw)
         m.cusPerSa = static_cast<unsigned>(v->asU64());
     if (m.cusPerSa == 0)
         m.cusPerSa = 1;
+    if (const JsonValue *v = doc.find("numShaderArrays"))
+        m.numShaderArrays = static_cast<unsigned>(v->asU64());
     if (const JsonValue *v = doc.find("cacheTracks")) {
         for (const JsonValue &e : v->elems)
             m.cacheTracks.push_back(e.kind == JsonValue::Kind::String
@@ -297,19 +301,26 @@ main(int argc, char **argv)
             w.end();
             break;
         }
-        case TraceKind::EngineCounters:
+        case TraceKind::EngineCounters: {
+            // Tracks: SA domains first, then bank domains.
+            const std::string name =
+                rec.track < meta.numShaderArrays
+                    ? "engine.sa" + std::to_string(rec.track)
+                    : "engine.bank" +
+                          std::to_string(rec.track - meta.numShaderArrays);
             w.begin("C", rec.tick);
             std::fprintf(
                 out,
-                ",\"pid\":3,\"name\":\"engine\","
+                ",\"pid\":3,\"name\":\"%s\","
                 "\"args\":{\"queued_events\":%llu,"
                 "\"pool_chunks\":%llu,\"active_clocked\":%llu}",
-                static_cast<unsigned long long>(rec.id),
+                name.c_str(), static_cast<unsigned long long>(rec.id),
                 static_cast<unsigned long long>(rec.arg >> 32),
                 static_cast<unsigned long long>(rec.arg &
                                                 0xffffffffu));
             w.end();
             break;
+        }
         default:
             ++n_skipped;
             break;

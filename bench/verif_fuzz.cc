@@ -29,9 +29,8 @@
  * everything in rabbit mode. Any discrepancy is a real bug.
  *
  * --sa-threads N (or the LAZYGPU_SA_THREADS env var) runs every timed
- * simulation on the sharded intra-GPU engine with N domain threads, so
- * a sweep or corpus replay cross-checks the parallel schedule against
- * the reference executor.
+ * simulation's event domains on N threads, so a sweep or corpus replay
+ * cross-checks the parallel execution against the reference executor.
  *
  * --inject-bug is the self-test demanded by the PR acceptance criteria:
  * it arms GpuConfig::injectSkipSuspendRequalify (optimization (2)
@@ -70,7 +69,7 @@ struct Args
     unsigned bodyOps = 0;
     /** Raw --timing-waves tokens; resolved per generated case. */
     std::vector<std::string> timingWaves;
-    unsigned saThreads = 0; //!< sharded-engine domain threads (0 = off)
+    unsigned saThreads = 0; //!< domain threads per timed run (0 = inline)
     std::string corpusDir;
     bool corpusOnly = false;
     bool minimize = false;

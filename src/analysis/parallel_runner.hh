@@ -118,9 +118,9 @@ struct SweepOptions
     unsigned timingWaves = GpuConfig::timingWavesAll;
     /**
      * Intra-GPU domain threads applied to every cell (--sa-threads):
-     * 0 keeps the classic single-domain engine; N >= 1 shards each
-     * simulation across per-SA event domains driven by N threads
-     * (results are independent of N; see GpuConfig::saThreads). When
+     * 0 keeps each cell's own GpuConfig::saThreads; N >= 1 runs each
+     * simulation's event domains on N threads (results are independent
+     * of N; see GpuConfig::saThreads). When
      * composed with --jobs > 1, the runner clamps this to
      * hardware_concurrency / jobs so cell-level and intra-cell
      * parallelism do not oversubscribe the host.

@@ -241,7 +241,7 @@ ComputeUnit::enableCycleAccounting(cycacct::IntervalSampler *sampler)
     cyc_ = std::make_unique<cycacct::CuCycleAccount>(
         stats_, cuPrefix(cfg_, cu_id_, sa_id_));
     if (sampler)
-        sampler->registerAccount(cyc_.get());
+        sampler->registerAccount(cyc_.get(), &engine_);
 }
 
 void

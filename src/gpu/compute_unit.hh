@@ -51,11 +51,11 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
 {
   public:
     /**
-     * `mem_latency` is the distribution every completed data
-     * transaction's latency is sampled into. The classic engine passes
-     * the registry's "mem.latency"; the sharded engine passes a per-SA
-     * shard distribution (merged in a fixed order at the end of each
-     * run, keeping the floating-point sum independent of thread count).
+     * `engine` is the CU's shader-array domain engine. `mem_latency` is
+     * the distribution every completed data transaction's latency is
+     * sampled into: the Gpu passes a per-SA shard distribution (merged
+     * in a fixed order at the end of each run, keeping the
+     * floating-point sum independent of the thread count).
      */
     ComputeUnit(Engine &engine, StatsRegistry &stats,
                 LifecycleTracker &lifecycle, Distribution &mem_latency,
@@ -120,16 +120,16 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
     // --- Cycle accounting (CPI stacks, DESIGN.md §16) --------------------
     /**
      * Enable per-CU cycle accounting: registers the bucket counters and
-     * makes tick() charge every cycle. When a sampler is given
-     * (classic engine only) the account is registered with it so interval
-     * snapshots can flush the lazy gap cursor. Must be called before the
+     * makes tick() charge every cycle. When a sampler is given the
+     * account is registered with it so interval snapshots can flush the
+     * lazy gap cursor. Must be called before the
      * first tick; off, the cost is one predicted null-pointer branch.
      */
     void enableCycleAccounting(cycacct::IntervalSampler *sampler);
 
     /**
      * Close the open stall interval at this CU's current engine time (its
-     * domain engine under --sa-threads). Under LAZYGPU_CHECK, panics
+     * SA domain's clock; domains stop at different ticks). Under LAZYGPU_CHECK, panics
      * unless the buckets sum exactly to the elapsed cycles.
      */
     void finalizeCycleAccounting();

@@ -29,51 +29,37 @@ struct ConcurrentScope
     const bool on_;
 };
 
-} // namespace
-
-std::unique_ptr<DomainScheduler>
-Gpu::makeScheduler()
+DomainScheduler::Options
+schedulerOptions(const GpuConfig &cfg)
 {
-    if (cfg_.saThreads == 0)
-        return nullptr;
-    if (trace_) {
-        // Perfetto tracks record through a single shared sink; sharded
-        // domains would interleave it from many threads.
-        warn("traces are not supported with sa-threads; falling back to "
-             "the single-domain engine");
-        cfg_.saThreads = 0;
-        return nullptr;
-    }
     DomainScheduler::Options o;
-    o.lookahead = std::max<Tick>(1, cfg_.l2HopLatency);
-    o.threads = cfg_.saThreads;
-    o.profile = cfg_.profileScheduler;
-    return std::make_unique<DomainScheduler>(o, cfg_.numShaderArrays,
-                                             cfg_.l2Banks);
+    o.lookahead = std::max<Tick>(1, cfg.l2HopLatency);
+    // Every domain records through the one trace sink: a traced run
+    // executes its domains on one thread.
+    o.threads = cfg.enableTraces ? 1 : cfg.saThreads;
+    o.profile = cfg.profileScheduler;
+    return o;
 }
+
+} // namespace
 
 Gpu::Gpu(const GpuConfig &cfg, GlobalMemory &mem)
     : cfg_(cfg), mem_(mem), lifecycle_(stats_, cfg.mode),
       trace_(cfg.enableTraces
                  ? std::make_unique<TraceSink>(cfg.tracePath)
                  : nullptr),
-      sched_(makeScheduler()),
-      hier_(engine_, stats_, cfg_, mem_, sched_.get())
+      sched_(schedulerOptions(cfg_), cfg_.numShaderArrays, cfg_.l2Banks),
+      hier_(sched_, stats_, cfg_, mem_)
 {
-    // The interval sampler needs the classic engine (like traces: one
-    // shared sink, and domain engines advance independently); the per-CU
-    // accounts themselves work in every mode.
-    if (cfg_.cycleAccounting && !sched_ && cfg_.cycacctSampleTicks > 0) {
+    if (cfg_.cycleAccounting && cfg_.cycacctSampleTicks > 0) {
         cyc_sampler_ = std::make_unique<cycacct::IntervalSampler>(
-            stats_, trace_.get());
-        engine_.attachSampler(cyc_sampler_.get(),
-                              cfg_.cycacctSampleTicks);
+            stats_, trace_.get(), cfg_.cycacctSampleTicks);
     }
 
     if (trace_) {
         std::vector<std::string> cache_tracks;
         hier_.attachTrace(trace_.get(), cache_tracks);
-        engine_.attachTrace(trace_.get());
+        sched_.attachTrace(trace_.get());
 
         std::string meta = "{\"mode\":\"" + toString(cfg_.mode) +
                            "\",\"numShaderArrays\":" +
@@ -99,51 +85,30 @@ Gpu::Gpu(const GpuConfig &cfg, GlobalMemory &mem)
         trace_->setMeta(std::move(meta));
     }
 
-    if (sched_) {
-        // Register the merge target up front so sharded dumps have the
-        // same stat-name set as classic ones even before any run.
-        stats_.dist("mem.latency");
-        for (unsigned sa = 0; sa < cfg_.numShaderArrays; ++sa)
-            shards_.push_back(std::make_unique<SaShard>(cfg_.mode));
-    }
-
+    // Register the merge target up front so dumps have the same
+    // stat-name set even before any run.
+    stats_.dist("mem.latency");
     for (unsigned sa = 0; sa < cfg_.numShaderArrays; ++sa) {
-        Engine &sa_engine = sched_ ? sched_->saEngine(sa) : engine_;
-        LifecycleTracker &lc =
-            sched_ ? shards_[sa]->lifecycle : lifecycle_;
-        Distribution &lat =
-            sched_ ? shards_[sa]->memLatency : stats_.dist("mem.latency");
+        shards_.push_back(std::make_unique<SaShard>(cfg_.mode));
+        SaShard *shard = shards_.back().get();
+        Engine &sa_engine = sched_.saEngine(sa);
         for (unsigned c = 0; c < cfg_.cusPerSa; ++c) {
             unsigned cu_id = sa * cfg_.cusPerSa + c;
             cus_.push_back(std::make_unique<ComputeUnit>(
-                sa_engine, stats_, lc, lat, cfg_, mem_, hier_, cu_id,
-                sa, trace_.get()));
+                sa_engine, stats_, shard->lifecycle, shard->memLatency,
+                cfg_, mem_, hier_, cu_id, sa, trace_.get()));
             sa_engine.addClocked(cus_.back().get());
             ComputeUnit *cu = cus_.back().get();
             if (cfg_.cycleAccounting)
                 cu->enableCycleAccounting(cyc_sampler_.get());
-            if (sched_) {
-                // Retire runs on the SA's domain thread; dispatching a
-                // replacement wave reads shared dispatch state, so defer
-                // it to the window barrier (drained in SA order there).
-                SaShard *shard = shards_[sa].get();
-                cu->setRetireCallback(
-                    [shard, cu]() { shard->pendingRefill.push_back(cu); });
-            } else {
-                cu->setRetireCallback([this, cu]() { refill(*cu); });
-            }
+            // Retire runs on the SA's domain thread; dispatching a
+            // replacement wave reads shared dispatch state, so defer it
+            // to the window barrier (drained in SA order there).
+            cu->setRetireCallback(
+                [shard, cu]() { shard->pendingRefill.push_back(cu); });
         }
     }
-
-    if (sched_) {
-        sched_->setBarrierHook([this]() {
-            for (auto &shard : shards_) {
-                for (ComputeUnit *cu : shard->pendingRefill)
-                    refill(*cu);
-                shard->pendingRefill.clear();
-            }
-        });
-    }
+    sched_.setBarrierHook([this]() { onBarrier(); });
 
     if (!cfg_.injectPlan.empty()) {
         inject::InjectionPlan plan;
@@ -164,17 +129,9 @@ Gpu::Gpu(const GpuConfig &cfg, GlobalMemory &mem)
 }
 
 void
-Gpu::attachControl(ExecControl *ctl)
-{
-    engine_.attachControl(ctl);
-    if (sched_)
-        sched_->attachControl(ctl);
-}
-
-void
 Gpu::setRetireObserver(ComputeUnit::RetireObserver obs)
 {
-    if (sched_ && obs) {
+    if (obs) {
         // Retires run concurrently on domain threads but the observer
         // (verification state) is shared: serialise invocations. The
         // observed facts are per-wave, so the state they build is
@@ -190,6 +147,18 @@ Gpu::setRetireObserver(ComputeUnit::RetireObserver obs)
         cu->setRetireObserver(obs);
     if (rabbit_)
         rabbit_->setRetireObserver(obs);
+}
+
+void
+Gpu::onBarrier()
+{
+    for (auto &shard : shards_) {
+        for (ComputeUnit *cu : shard->pendingRefill)
+            refill(*cu);
+        shard->pendingRefill.clear();
+    }
+    if (cyc_sampler_)
+        cyc_sampler_->advanceTo(sched_.now());
 }
 
 void
@@ -210,10 +179,9 @@ Gpu::announceDispatchExhausted()
     dispatch_announced_ = true;
     if (!cfg_.cycleAccounting)
         return;
-    // Classic mode: called from a retire callback on the one engine
-    // thread. Sharded mode: refills only run at the window barrier,
-    // where the domain threads are parked, so touching every CU's
-    // account (on its own domain engine's clock) is race-free.
+    // Refills only run at the window barrier (or at launch), where the
+    // domain threads are parked, so touching every CU's account (on its
+    // own domain engine's clock) is race-free.
     for (auto &cu : cus_)
         cu->setDispatchExhausted(true);
 }
@@ -250,7 +218,7 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
     dispatch_limit_ = timed;
 
     KernelResult res;
-    res.startTick = sched_ ? sched_->now() : engine_.now();
+    res.startTick = sched_.now();
     res.endTick = res.startTick;
     const SnapshotSourceScope snapshot_scope(this);
 
@@ -293,18 +261,15 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
         }
         announceDispatchExhausted();
 
-        if (sched_) {
-            // Domain threads hit the functional memory concurrently;
-            // switch the page table to its locked + thread-cached mode
-            // for the duration of the timed phase.
-            const ConcurrentScope concurrent(mem_, true);
-            res.endTick = sched_->run(res.startTick + limit_cycles);
-        } else {
-            res.endTick = engine_.run(res.startTick + limit_cycles);
+        {
+            // Several domain threads hit the functional memory
+            // concurrently: switch the page table to its locked +
+            // thread-cached mode for the duration of the timed phase.
+            const ConcurrentScope concurrent(mem_, sched_.threads() > 1);
+            res.endTick = sched_.run(res.startTick + limit_cycles);
         }
 
-        fatal_if(sched_ ? sched_->anyPendingEvents()
-                        : engine_.hasPendingEvents(),
+        fatal_if(sched_.anyPendingEvents(),
                  "kernel '%s' reached the %llu-cycle limit before "
                  "completion",
                  kernel.name.c_str(),
@@ -318,8 +283,8 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
 
         if (cfg_.cycleAccounting) {
             // Close every open stall interval at each CU's own engine
-            // time (domain engines stop at different ticks under
-            // --sa-threads) — this is where the LAZYGPU_CHECK
+            // time (domain engines stop at different ticks) — this is
+            // where the LAZYGPU_CHECK
             // sum-of-buckets == elapsed-cycles invariant fires. Runs
             // before the rabbit extrapolation below so the invariant
             // sees raw timed-window buckets.
@@ -336,7 +301,7 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
     if (sampled) {
         if (!rabbit_) {
             rabbit_ = std::make_unique<RabbitExecutor>(cfg_, mem_, stats_,
-                                                       &engine_);
+                                                       &sched_);
             if (retire_obs_)
                 rabbit_->setRetireObserver(retire_obs_);
         }
@@ -371,21 +336,10 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
         c.reset();
         c += v;
     };
-    if (sched_) {
-        // Aggregate across every domain wheel (plus engine_, which the
-        // rabbit phase may still use for heartbeats — zero events).
-        sync("engine.events_executed",
-             sched_->eventsExecuted() + engine_.eventsExecuted());
-        sync("engine.pool_chunks",
-             sched_->poolChunks() + engine_.poolChunks());
-        sync("engine.oversized_events",
-             sched_->oversizedEvents() + engine_.oversizedEvents());
-        mergeShardStats();
-    } else {
-        sync("engine.events_executed", engine_.eventsExecuted());
-        sync("engine.pool_chunks", engine_.poolChunks());
-        sync("engine.oversized_events", engine_.oversizedEvents());
-    }
+    sync("engine.events_executed", sched_.eventsExecuted());
+    sync("engine.pool_chunks", sched_.poolChunks());
+    sync("engine.oversized_events", sched_.oversizedEvents());
+    mergeShardStats();
 
     if (trace_)
         trace_->flush();
@@ -395,39 +349,41 @@ Gpu::run(const Kernel &kernel, Tick limit_cycles)
 void
 Gpu::mergeShardStats()
 {
-    // Rebuild the main-registry view from the shards: reset + merge in
-    // SA order keeps cumulative totals correct across repeated runs and
-    // the floating-point latency sum independent of the thread count.
+    // Fold each shard into the main registry in SA order, then empty it:
+    // the main registry accumulates across runs (and a stats().reset()
+    // between runs sticks), and the shards hold nothing between runs.
+    // Every merged quantity is an integer (latencies are whole ticks),
+    // so the totals are exact and independent of the thread count.
     Distribution &lat = stats_.dist("mem.latency");
-    lat.reset();
-    lifecycle_.reset();
     for (auto &shard : shards_) {
         lat.merge(shard->memLatency);
         lifecycle_.merge(shard->lifecycle);
+        shard->memLatency.reset();
+        shard->lifecycle.reset();
     }
 }
 
 namespace
 {
 
-/** Bump on any incompatible change to the checkpoint layout. */
-constexpr std::uint32_t checkpointVersion = 1;
+/**
+ * Bump on any incompatible change to the checkpoint layout. Version 2:
+ * one engine state per event domain.
+ */
+constexpr std::uint32_t checkpointVersion = 2;
 
 } // namespace
 
 void
 Gpu::saveCheckpoint(std::vector<std::uint8_t> &out) const
 {
-    fatal_if(sched_ != nullptr,
-             "checkpoint/restore supports only the classic engine "
-             "(--sa-threads 0)");
     fatal_if(trace_ != nullptr,
              "checkpoint/restore does not support tracing");
     fatal_if(rabbit_ != nullptr || !est_extra_.empty(),
              "checkpoint/restore does not support --timing-waves "
              "sampling");
-    panic_if(!engine_.idle(),
-             "checkpointing mid-kernel: the engine has pending events");
+    panic_if(sched_.anyPendingEvents() || sched_.activeClocked() != 0,
+             "checkpointing mid-kernel: a domain has pending work");
     for (const auto &cu : cus_) {
         panic_if(cu->residentWaves() != 0,
                  "checkpointing with resident wavefronts");
@@ -436,12 +392,7 @@ Gpu::saveCheckpoint(std::vector<std::uint8_t> &out) const
     ByteWriter w;
     w.tag("LZGC");
     w.u32(checkpointVersion);
-    const Engine::CheckpointState es = engine_.checkpointState();
-    w.u64(es.now);
-    w.u64(es.nextSeq);
-    w.u64(es.eventsExecuted);
-    w.u64(es.oversizedEvents);
-    w.u64(es.poolChunks);
+    sched_.checkpointTo(w);
     mem_.checkpointTo(w);
     hier_.checkpointTo(w);
     stats_.checkpointTo(w);
@@ -451,9 +402,6 @@ Gpu::saveCheckpoint(std::vector<std::uint8_t> &out) const
 void
 Gpu::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
 {
-    fatal_if(sched_ != nullptr,
-             "checkpoint/restore supports only the classic engine "
-             "(--sa-threads 0)");
     fatal_if(trace_ != nullptr,
              "checkpoint/restore does not support tracing");
     fatal_if(rabbit_ != nullptr || !est_extra_.empty(),
@@ -466,13 +414,7 @@ Gpu::restoreCheckpoint(const std::vector<std::uint8_t> &bytes)
     fatal_if(version != checkpointVersion,
              "checkpoint version %u does not match this build (%u)",
              version, checkpointVersion);
-    Engine::CheckpointState es;
-    es.now = r.u64();
-    es.nextSeq = r.u64();
-    es.eventsExecuted = r.u64();
-    es.oversizedEvents = r.u64();
-    es.poolChunks = r.u64();
-    engine_.restoreCheckpoint(es);
+    sched_.restoreFrom(r);
     mem_.restoreFrom(r);
     hier_.restoreFrom(r);
     stats_.restoreFrom(r);
@@ -492,19 +434,11 @@ Gpu::captureSnapshot() const
 {
     EngineSnapshot snap;
     snap.valid = true;
-    if (sched_) {
-        snap.cycle = sched_->now();
-        snap.eventsExecuted = sched_->eventsExecuted();
-        snap.pendingEvents = sched_->numPendingEvents();
-        snap.activeClocked = sched_->activeClocked();
-        snap.recentActivity = sched_->recentActivity();
-    } else {
-        snap.cycle = engine_.now();
-        snap.eventsExecuted = engine_.eventsExecuted();
-        snap.pendingEvents = engine_.numPendingEvents();
-        snap.activeClocked = engine_.activeClocked();
-        snap.recentActivity = engine_.recentActivity();
-    }
+    snap.cycle = sched_.now();
+    snap.eventsExecuted = sched_.eventsExecuted();
+    snap.pendingEvents = sched_.numPendingEvents();
+    snap.activeClocked = sched_.activeClocked();
+    snap.recentActivity = sched_.recentActivity();
     for (const auto &cu : cus_)
         cu->describeInto(snap.components);
     return snap;

@@ -2,10 +2,16 @@
  * @file
  * Gpu: the top-level simulated device.
  *
- * Owns the engine, the statistics, the memory hierarchy, and the compute
- * units, and provides the host-side API: build a GlobalMemory, write your
- * buffers, construct a Gpu with a GpuConfig, and run() kernels on it.
- * Kernels run back to back on warm caches, like a real device.
+ * Owns the domain scheduler, the statistics, the memory hierarchy, and
+ * the compute units, and provides the host-side API: build a
+ * GlobalMemory, write your buffers, construct a Gpu with a GpuConfig,
+ * and run() kernels on it. Kernels run back to back on warm caches, like
+ * a real device.
+ *
+ * Every kernel runs on the DomainScheduler (DESIGN.md §13): one event
+ * domain per shader array and one per L2 bank. cfg.saThreads only picks
+ * how many threads execute the domains; results are identical for any
+ * value.
  */
 
 #ifndef LAZYGPU_GPU_GPU_HH
@@ -27,7 +33,6 @@
 #include "obs/trace.hh"
 #include "sim/config.hh"
 #include "sim/domains.hh"
-#include "sim/engine.hh"
 #include "sim/sim_error.hh"
 
 namespace lazygpu
@@ -65,26 +70,23 @@ class Gpu : public SnapshotSource
     KernelResult run(const Kernel &kernel,
                      Tick limit_cycles = 4'000'000'000ull);
 
-    /** Engine counters plus per-CU wavefront states (crash forensics). */
+    /** Scheduler counters plus per-CU wavefront states (crash forensics). */
     EngineSnapshot captureSnapshot() const override;
 
     /** Install a verification retire observer on every compute unit. */
     void setRetireObserver(ComputeUnit::RetireObserver obs);
 
     /**
-     * Attach the sweep watchdog. Classic mode attaches it to the single
-     * engine; sharded mode (cfg.saThreads >= 1) attaches it to the
-     * domain scheduler, whose window barrier aggregates heartbeats
-     * across every domain thread, and also to the engine so the rabbit
-     * phase keeps beating.
+     * Attach the sweep watchdog to the domain scheduler, whose window
+     * barrier aggregates heartbeats across every domain thread; the
+     * rabbit phase beats through the same channel.
      */
-    void attachControl(ExecControl *ctl);
+    void attachControl(ExecControl *ctl) { sched_.attachControl(ctl); }
 
     StatsRegistry &stats() { return stats_; }
-    Engine &engine() { return engine_; }
 
-    /** The sharded-mode domain scheduler; nullptr in classic mode. */
-    DomainScheduler *domains() { return sched_.get(); }
+    /** The domain scheduler every kernel runs on (never null). */
+    DomainScheduler *domains() { return &sched_; }
     MemoryHierarchy &hierarchy() { return hier_; }
     GlobalMemory &memory() { return mem_; }
     const GpuConfig &config() const { return cfg_; }
@@ -94,8 +96,7 @@ class Gpu : public SnapshotSource
 
     /**
      * The cycle-accounting interval sampler, or nullptr (needs
-     * cfg.cycleAccounting, the classic engine, and a nonzero
-     * cfg.cycacctSampleTicks).
+     * cfg.cycleAccounting and a nonzero cfg.cycacctSampleTicks).
      */
     const cycacct::IntervalSampler *cycSampler() const
     {
@@ -106,14 +107,14 @@ class Gpu : public SnapshotSource
     const inject::Injector *injector() const { return inject_.get(); }
 
     /**
-     * Serialize the full resumable device state (engine counters,
-     * global memory, cache/DRAM/router timing state, statistics) into
-     * `out`. Checkpoints are only legal at kernel-launch boundaries
-     * (the engine idle, no resident wavefronts: in-flight events are
-     * type-erased closures and cannot travel) and only on the classic
-     * engine without traces or --timing-waves sampling; violating
-     * either is a fatal error, never a silently partial checkpoint.
-     * Format: DESIGN.md §15.
+     * Serialize the full resumable device state (every domain engine's
+     * counters, global memory, cache/DRAM/router timing state,
+     * statistics) into `out`. Checkpoints are only legal at
+     * kernel-launch boundaries (every domain idle, no resident
+     * wavefronts: in-flight events are type-erased closures and cannot
+     * travel) and only without traces or --timing-waves sampling;
+     * violating either is a fatal error, never a silently partial
+     * checkpoint. Format: DESIGN.md §15.
      */
     void saveCheckpoint(std::vector<std::uint8_t> &out) const;
 
@@ -148,14 +149,15 @@ class Gpu : public SnapshotSource
 
   private:
     /**
-     * Sharded-mode per-SA statistics shard. Compute units of shader
-     * array s sample their shared mutable stats (the mem.latency
-     * distribution and the lifecycle histograms) into shard s, touched
-     * only by SA domain s's thread; mergeShardStats() folds the shards
-     * into the main registry in a fixed SA order at the end of every
-     * run, so results are identical for any thread count. (Counters
-     * need no sharding: every Counter object is written by exactly one
-     * component on one domain thread.)
+     * Per-SA statistics shard. Compute units of shader array s sample
+     * their shared mutable stats (the mem.latency distribution and the
+     * lifecycle histograms) into shard s, touched only by SA domain s's
+     * thread; mergeShardStats() folds the shards into the main registry
+     * in a fixed SA order at the end of every run and empties them, so
+     * results are identical for any thread count and the shards hold
+     * no state between runs (none to checkpoint). (Counters need no sharding: every
+     * Counter object is written by exactly one component on one domain
+     * thread.)
      */
     struct SaShard
     {
@@ -180,23 +182,22 @@ class Gpu : public SnapshotSource
     void announceDispatchExhausted();
     /** Is this counter timing-dependent (extrapolated, not exact)? */
     static bool isTimingCounter(const std::string &name);
-    /** cfg_.saThreads >= 1 -> a DomainScheduler (may clamp cfg_). */
-    std::unique_ptr<DomainScheduler> makeScheduler();
-    /** Fold the per-SA shard stats into the main registry (see SaShard). */
+    /** Window-barrier work: deferred refills, then the sampler. */
+    void onBarrier();
+    /** Move the per-SA shard stats into the main registry (see SaShard). */
     void mergeShardStats();
 
     GpuConfig cfg_;
     GlobalMemory &mem_;
-    Engine engine_;
     StatsRegistry stats_;
     LifecycleTracker lifecycle_;
     std::unique_ptr<TraceSink> trace_;
-    /** Interval telemetry (cfg.cycleAccounting, classic engine only). */
+    /** Interval telemetry (cfg.cycleAccounting and a sample period). */
     std::unique_ptr<cycacct::IntervalSampler> cyc_sampler_;
     /** Armed fault (cfg.injectPlan); the target CU holds a raw pointer. */
     std::unique_ptr<inject::Injector> inject_;
     /** Declared before hier_: the hierarchy places onto the domains. */
-    std::unique_ptr<DomainScheduler> sched_;
+    DomainScheduler sched_;
     std::vector<std::unique_ptr<SaShard>> shards_;
     MemoryHierarchy hier_;
     std::vector<std::unique_ptr<ComputeUnit>> cus_;

@@ -1,13 +1,15 @@
 #include "gpu/rabbit.hh"
 
+#include "sim/domains.hh"
 #include "sim/logging.hh"
 
 namespace lazygpu
 {
 
 RabbitExecutor::RabbitExecutor(const GpuConfig &cfg, GlobalMemory &mem,
-                               StatsRegistry &stats, Engine *engine)
-    : engine_(engine), mode_(cfg.mode),
+                               StatsRegistry &stats,
+                               DomainScheduler *domains)
+    : domains_(domains), mode_(cfg.mode),
       zl1_line_(cfg.l1Zero.lineSize ? cfg.l1Zero.lineSize : 64),
       mask_line_cap_(cfg.l1Zero.size > 0 && cfg.l2Zero.size > 0
                          ? std::size_t(cfg.numShaderArrays) *
@@ -57,8 +59,8 @@ RabbitExecutor::run(const Kernel &kernel, unsigned wid,
 void
 RabbitExecutor::heartbeat()
 {
-    if (engine_)
-        engine_->externalHeartbeat(total_insts_);
+    if (domains_)
+        domains_->externalHeartbeat(total_insts_);
 }
 
 void

@@ -44,21 +44,22 @@
 #include "mem/memory.hh"
 #include "obs/registry.hh"
 #include "sim/config.hh"
-#include "sim/engine.hh"
 
 namespace lazygpu
 {
+
+class DomainScheduler;
 
 class RabbitExecutor : private LazyUnit::Port
 {
   public:
     /**
-     * @param engine when non-null, the executor publishes watchdog
+     * @param domains when non-null, the executor publishes watchdog
      *        heartbeats (and honours cancellation) through
-     *        Engine::externalHeartbeat while interpreting.
+     *        DomainScheduler::externalHeartbeat while interpreting.
      */
     RabbitExecutor(const GpuConfig &cfg, GlobalMemory &mem,
-                   StatsRegistry &stats, Engine *engine);
+                   StatsRegistry &stats, DomainScheduler *domains);
 
     /** Same contract as ComputeUnit::setRetireObserver. */
     void
@@ -96,7 +97,7 @@ class RabbitExecutor : private LazyUnit::Port
 
     void heartbeat();
 
-    Engine *engine_;
+    DomainScheduler *domains_;
     const ExecMode mode_;
 
     /** FIFO model of the L1 Zero Caches' aggregate line capacity. */

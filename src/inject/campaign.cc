@@ -73,7 +73,6 @@ runFaultCell(const GpuConfig &cfg, const std::function<Workload()> &make,
 {
     GpuConfig base = cfg;
     base.injectPlan.clear();
-    base.saThreads = 0; // checkpoints and injection pin the classic engine
     base.timingWaves = GpuConfig::timingWavesAll;
     base.enableTraces = false;
     base.tracePath.clear();
@@ -91,7 +90,7 @@ runFaultCell(const GpuConfig &cfg, const std::function<Workload()> &make,
         if (ctl)
             gpu.attachControl(ctl);
         for (std::size_t k = 0; k < clean_w.kernels.size(); ++k) {
-            if (gpu.engine().now() <= plan.cycle || ckpt.empty()) {
+            if (gpu.domains()->now() <= plan.cycle || ckpt.empty()) {
                 gpu.saveCheckpoint(ckpt);
                 ckpt_kernel = k;
             }
@@ -100,7 +99,7 @@ runFaultCell(const GpuConfig &cfg, const std::function<Workload()> &make,
             else
                 gpu.run(clean_w.kernels[k]);
         }
-        clean = collectMetrics(gpu, gpu.engine().now());
+        clean = collectMetrics(gpu, gpu.domains()->now());
         clean_hash = clean_w.mem->contentHash();
     }
 
@@ -121,7 +120,7 @@ runFaultCell(const GpuConfig &cfg, const std::function<Workload()> &make,
             else
                 gpu.run(inj_w.kernels[k]);
         }
-        const RunResult inj = collectMetrics(gpu, gpu.engine().now());
+        const RunResult inj = collectMetrics(gpu, gpu.domains()->now());
         if (inj_w.verify)
             inj_verify = inj_w.verify(*inj_w.mem);
         const std::uint64_t inj_hash = inj_w.mem->contentHash();

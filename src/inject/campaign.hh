@@ -3,7 +3,7 @@
  * Fault-injection campaign cells: run one planned fault against one
  * workload and classify the architectural outcome.
  *
- * Each cell simulates the workload twice on the classic engine:
+ * Each cell simulates the workload twice:
  *
  *  1. a clean run, taking a deterministic full-state checkpoint at
  *     every kernel-launch boundary at or before the fault's planned
@@ -27,10 +27,10 @@
  *               functional verify (against the untimed reference)
  *               corroborates in RunResult::verifyError.
  *
- * Cells pin saThreads = 0: injection timing is schedule-dependent and
- * the sharded engine is a different (coarser-synchronized) schedule, so
- * a campaign artifact must not change with --sa-threads (PR 6's rule
- * that the knob never changes what a sweep writes).
+ * Injection timing is schedule-dependent, but the domain schedule does
+ * not depend on the thread count (checkpoints carry every domain
+ * engine's state), so a campaign artifact is identical for any
+ * --sa-threads: the knob never changes what a sweep writes.
  */
 
 #ifndef LAZYGPU_INJECT_CAMPAIGN_HH
@@ -78,8 +78,8 @@ bool verdictFromString(const std::string &name, Verdict &out);
  * failure, not a fault outcome; simulated-time hangs are bounded
  * deterministically by limit_cycles and classify as Detected.
  *
- * @param cfg cell configuration; injectPlan/saThreads/timingWaves and
- *        tracing are overridden as the file comment describes.
+ * @param cfg cell configuration; injectPlan/timingWaves and tracing are
+ *        overridden as the file comment describes.
  * @param make fresh-workload factory (seeded: both runs must see an
  *        identical input image).
  * @param limit_cycles per-kernel livelock guard; 0 uses Gpu's default.

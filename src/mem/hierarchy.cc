@@ -9,9 +9,9 @@
 namespace lazygpu
 {
 
-BankRouter::BankRouter(Engine &engine, unsigned interleave,
+BankRouter::BankRouter(unsigned num_banks, unsigned interleave,
                        unsigned bytes_per_cycle)
-    : engine_(engine), interleave_(interleave),
+    : num_banks_(num_banks), interleave_(interleave),
       bytes_per_cycle_(std::max(1u, bytes_per_cycle))
 {
 }
@@ -19,7 +19,7 @@ BankRouter::BankRouter(Engine &engine, unsigned interleave,
 unsigned
 BankRouter::bankFor(Addr addr) const
 {
-    return static_cast<unsigned>((addr / interleave_) % banks_.size());
+    return static_cast<unsigned>((addr / interleave_) % num_banks_);
 }
 
 Tick
@@ -33,123 +33,86 @@ BankRouter::arbitrate(Tick when, unsigned size)
     return start;
 }
 
-void
-BankRouter::access(const MemAccess &acc, Completion done)
+MemoryHierarchy::MemoryHierarchy(DomainScheduler &domains,
+                                 StatsRegistry &stats,
+                                 const GpuConfig &cfg, GlobalMemory &mem)
+    : mem_(mem),
+      l2_router_(cfg.l2Banks, cfg.interleave,
+                 cfg.l2.bytesPerCycle * cfg.l2Banks),
+      zc_router_(cfg.l2Banks, cfg.interleave,
+                 cfg.l2Zero.bytesPerCycle * cfg.l2Banks)
 {
-    panic_if(banks_.empty(), "router has no banks");
-
-    const Tick now = engine_.now();
-    const Tick start = arbitrate(now, acc.size);
-
-    MemDevice *bank = banks_[bankFor(acc.addr)];
-    if (start == now) {
-        bank->access(acc, std::move(done));
-    } else {
-        engine_.schedule(start,
-                         [bank, acc, cb = std::move(done)]() mutable {
-                             bank->access(acc, std::move(cb));
-                         });
-    }
-}
-
-MemoryHierarchy::MemoryHierarchy(Engine &engine, StatsRegistry &stats,
-                                 const GpuConfig &cfg, GlobalMemory &mem,
-                                 DomainScheduler *domains)
-    : mem_(mem)
-{
+    panic_if(domains.numSaDomains() != cfg.numShaderArrays ||
+                 domains.numBankDomains() != cfg.l2Banks,
+             "hierarchy placed onto %u SA / %u bank domains, config has "
+             "%u / %u",
+             domains.numSaDomains(), domains.numBankDomains(),
+             cfg.numShaderArrays, cfg.l2Banks);
     const bool zero_caches = cfg.l1Zero.size > 0 && cfg.l2Zero.size > 0;
 
-    // Engine placement: classic mode puts everything on the single
-    // engine; sharded mode puts L2/ZL2 bank b and DRAM channel b on
-    // bank domain b, and L1/ZL1 of SA s on SA domain s.
-    auto bankEngine = [&](unsigned b) -> Engine & {
-        return domains ? domains->bankEngine(b) : engine;
-    };
-
-    // One DRAM channel per L2 bank.
+    // One DRAM channel per L2 bank, on the bank's domain.
     for (unsigned b = 0; b < cfg.l2Banks; ++b) {
         dram_.push_back(std::make_unique<DramChannel>(
-            bankEngine(b), stats, "mem.dram.ch" + std::to_string(b),
-            cfg.dramBytesPerCycle, cfg.dramLatency));
+            domains.bankEngine(b), stats,
+            "mem.dram.ch" + std::to_string(b), cfg.dramBytesPerCycle,
+            cfg.dramLatency));
     }
 
-    // Memory-side L2 banks and their router. Sharded mode moves the
-    // L1->L2 hop latency off the cache and onto the response crossing
-    // (the lookahead the scheduler adds in respond()): per-path timing
-    // is identical, and the request-side injection happens at the same
-    // arbitrated start tick the classic router would use.
-    const Tick l2_latency = domains ? 0 : cfg.l2HopLatency;
-    l2_router_ = std::make_unique<BankRouter>(
-        engine, cfg.interleave, cfg.l2.bytesPerCycle * cfg.l2Banks);
+    // Memory-side L2 banks. The L1->L2 hop latency is not a cache
+    // latency: the scheduler charges it on the response crossing back
+    // to the SA (the lookahead it adds in respond()).
     for (unsigned b = 0; b < cfg.l2Banks; ++b) {
         CacheParams p = cfg.l2;
-        p.latency = l2_latency;
+        p.latency = 0;
         l2_.push_back(std::make_unique<Cache>(
-            bankEngine(b), stats, "mem.l2.bank" + std::to_string(b), p,
+            domains.bankEngine(b), stats,
+            "mem.l2.bank" + std::to_string(b), p,
             Cache::WritePolicy::WriteBack, *dram_[b]));
-        l2_router_->addBank(l2_[b].get());
     }
-
     if (zero_caches) {
-        zc_router_ = std::make_unique<BankRouter>(
-            engine, cfg.interleave,
-            cfg.l2Zero.bytesPerCycle * cfg.l2Banks);
         for (unsigned b = 0; b < cfg.l2Banks; ++b) {
             CacheParams p = cfg.l2Zero;
-            p.latency = l2_latency;
+            p.latency = 0;
             l2_zero_.push_back(std::make_unique<Cache>(
-                bankEngine(b), stats, "mem.zl2.bank" + std::to_string(b),
-                p, Cache::WritePolicy::WriteBack, *dram_[b]));
-            zc_router_->addBank(l2_zero_[b].get());
+                domains.bankEngine(b), stats,
+                "mem.zl2.bank" + std::to_string(b), p,
+                Cache::WritePolicy::WriteBack, *dram_[b]));
         }
     }
 
-    // Sharded mode: the routers' access() path is replaced by boundary
-    // channels. A router function runs on the coordinator at the window
-    // barrier, arbitrates the shared ingress port in the fixed merge
-    // order, and injects the access into the owning bank's domain.
-    unsigned data_router = 0;
-    unsigned mask_router = 0;
-    if (domains) {
-        data_router = domains->addRouter(
-            [this, domains](unsigned sa, Tick when, const MemAccess &acc,
-                            Completion &&done) {
-                const Tick start = l2_router_->arbitrate(when, acc.size);
-                const unsigned b = l2_router_->bankFor(acc.addr);
-                domains->injectBank(b, start, l2_[b].get(), acc, sa,
-                                    std::move(done));
+    // A router function runs on the coordinator at the window barrier,
+    // arbitrates the shared ingress port in the fixed merge order, and
+    // names the owning bank; the scheduler injects the access there.
+    const auto router = [&domains](
+                            BankRouter &xbar,
+                            std::vector<std::unique_ptr<Cache>> &banks) {
+        return domains.addRouter(
+            [&xbar, &banks](unsigned, Tick when, const MemAccess &acc) {
+                const unsigned b = xbar.bankFor(acc.addr);
+                return DomainScheduler::Route{
+                    b, xbar.arbitrate(when, acc.size), banks[b].get()};
             });
-        if (zero_caches) {
-            mask_router = domains->addRouter(
-                [this, domains](unsigned sa, Tick when,
-                                const MemAccess &acc, Completion &&done) {
-                    const Tick start =
-                        zc_router_->arbitrate(when, acc.size);
-                    const unsigned b = zc_router_->bankFor(acc.addr);
-                    domains->injectBank(b, start, l2_zero_[b].get(), acc,
-                                        sa, std::move(done));
-                });
-        }
-    }
+    };
+    const unsigned data_router = router(l2_router_, l2_);
+    const unsigned mask_router =
+        zero_caches ? router(zc_router_, l2_zero_) : 0;
 
     // Core-side L1s, one per shader array.
     for (unsigned sa = 0; sa < cfg.numShaderArrays; ++sa) {
-        Engine &sa_engine = domains ? domains->saEngine(sa) : engine;
-        MemDevice &l1_below =
-            domains ? domains->port(sa, data_router) : *l2_router_;
+        Engine &sa_engine = domains.saEngine(sa);
         CacheParams p = cfg.l1;
         p.latency = cfg.l1HitLatency;
         l1_.push_back(std::make_unique<Cache>(
             sa_engine, stats, "mem.l1.sa" + std::to_string(sa), p,
-            Cache::WritePolicy::WriteAround, l1_below));
+            Cache::WritePolicy::WriteAround,
+            domains.port(sa, data_router)));
         if (zero_caches) {
-            MemDevice &zl1_below =
-                domains ? domains->port(sa, mask_router) : *zc_router_;
             CacheParams zp = cfg.l1Zero;
             zp.latency = cfg.zcacheHitLatency;
             l1_zero_.push_back(std::make_unique<Cache>(
                 sa_engine, stats, "mem.zl1.sa" + std::to_string(sa), zp,
-                Cache::WritePolicy::WriteAround, zl1_below));
+                Cache::WritePolicy::WriteAround,
+                domains.port(sa, mask_router)));
         }
     }
 }
@@ -206,8 +169,8 @@ MemoryHierarchy::checkpointTo(ByteWriter &w) const
     w.u64(dram_.size());
     for (const auto &d : dram_)
         w.u64(d->busyUntil());
-    w.u64(l2_router_ ? l2_router_->portBusy() : 0);
-    w.u64(zc_router_ ? zc_router_->portBusy() : 0);
+    w.u64(l2_router_.portBusy());
+    w.u64(zc_router_.portBusy());
 }
 
 void
@@ -232,12 +195,8 @@ MemoryHierarchy::restoreFrom(ByteReader &r)
              "checkpoint DRAM geometry does not match this configuration");
     for (const auto &d : dram_)
         d->restoreBusyUntil(r.u64());
-    const Tick l2_port = r.u64();
-    const Tick zc_port = r.u64();
-    if (l2_router_)
-        l2_router_->restorePortBusy(l2_port);
-    if (zc_router_)
-        zc_router_->restorePortBusy(zc_port);
+    l2_router_.restorePortBusy(r.u64());
+    zc_router_.restorePortBusy(r.u64());
 }
 
 bool

@@ -7,6 +7,11 @@
  * the banked L2s (and L2 Zero Caches), each bank backed by its own DRAM
  * channel. Mask (zero-cache) traffic shares the DRAM channels with data,
  * as in the paper.
+ *
+ * Every component lives in one event domain of a DomainScheduler
+ * (DESIGN.md §13): the SA-side caches on their shader array's domain,
+ * each L2/ZL2 bank and its DRAM channel on that bank's domain, with the
+ * scheduler's boundary channels carrying the L1->L2 hop between them.
  */
 
 #ifndef LAZYGPU_MEM_HIERARCHY_HH
@@ -20,7 +25,6 @@
 #include "mem/dram.hh"
 #include "mem/memory.hh"
 #include "sim/config.hh"
-#include "sim/engine.hh"
 #include "obs/registry.hh"
 
 namespace lazygpu
@@ -28,36 +32,33 @@ namespace lazygpu
 
 class DomainScheduler;
 
-/** Routes an access to the L2 bank owning its address. */
-class BankRouter : public MemDevice
+/**
+ * The L1->L2 crossbar: picks the L2 bank owning an address and models
+ * the aggregate ingress port. Runs on the domain scheduler's
+ * coordinator at the window barrier, once per boundary request in the
+ * fixed merge order, so its port state is deterministic for any thread
+ * count.
+ */
+class BankRouter
 {
   public:
-    BankRouter(Engine &engine, unsigned interleave,
+    BankRouter(unsigned num_banks, unsigned interleave,
                unsigned bytes_per_cycle);
-
-    void addBank(MemDevice *bank) { banks_.push_back(bank); }
-
-    void access(const MemAccess &acc, Completion done) override;
 
     /**
      * Reserve the aggregate ingress port for an access arriving at
      * `when`: returns the serialised start tick and advances the port.
-     * In the sharded engine this runs at the window barrier, once per
-     * request in the fixed merge order, so the shared port state stays
-     * deterministic for any thread count.
      */
     Tick arbitrate(Tick when, unsigned size);
 
     unsigned bankFor(Addr addr) const;
-    MemDevice *bank(unsigned b) { return banks_[b]; }
 
     /** Checkpoint access: the ingress port's busy high-water mark. */
     Tick portBusy() const { return port_busy_; }
     void restorePortBusy(Tick t) { port_busy_ = t; }
 
   private:
-    Engine &engine_;
-    std::vector<MemDevice *> banks_;
+    const unsigned num_banks_;
     const unsigned interleave_;
     const unsigned bytes_per_cycle_;
     Tick port_busy_ = 0;
@@ -67,14 +68,14 @@ class MemoryHierarchy
 {
   public:
     /**
-     * Classic mode (domains == nullptr): every cache and DRAM channel
-     * schedules on `engine`. Sharded mode: L1s/ZL1s live on their SA's
-     * domain engine with the scheduler's boundary ports below them,
-     * L2/ZL2 bank b and DRAM channel b live on bank domain b, and the
-     * bank routers arbitrate at the window barrier (DESIGN.md §13).
+     * Place the hierarchy onto `domains` (cfg.numShaderArrays SA
+     * domains, cfg.l2Banks bank domains): L1s/ZL1s on their SA's domain
+     * engine with the scheduler's boundary ports below them, L2/ZL2
+     * bank b and DRAM channel b on bank domain b, and the bank routers
+     * arbitrating at the window barrier (DESIGN.md §13).
      */
-    MemoryHierarchy(Engine &engine, StatsRegistry &stats, const GpuConfig &cfg,
-                    GlobalMemory &mem, DomainScheduler *domains = nullptr);
+    MemoryHierarchy(DomainScheduler &domains, StatsRegistry &stats,
+                    const GpuConfig &cfg, GlobalMemory &mem);
 
     /** Issue a data transaction from shader array sa. */
     void accessData(unsigned sa, Addr addr, unsigned size, bool write,
@@ -122,8 +123,8 @@ class MemoryHierarchy
   private:
     GlobalMemory &mem_;
     std::vector<std::unique_ptr<DramChannel>> dram_;
-    std::unique_ptr<BankRouter> l2_router_;
-    std::unique_ptr<BankRouter> zc_router_;
+    BankRouter l2_router_;
+    BankRouter zc_router_;
     std::vector<std::unique_ptr<Cache>> l2_;
     std::vector<std::unique_ptr<Cache>> l2_zero_;
     std::vector<std::unique_ptr<Cache>> l1_;

@@ -41,7 +41,7 @@ GlobalMemory::setConcurrent(bool on)
         concurrent_epoch_ =
             g_concurrent_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
     // Invalidate the shared one-entry cache both ways: entering, so the
-    // single-thread fast path never hits while sharded domains run;
+    // single-thread fast path never hits while domain threads run;
     // leaving, because pages materialised concurrently may have been
     // cached as absent.
     cached_key_ = ~Addr(0);

@@ -173,8 +173,8 @@ class GlobalMemory
     std::uint64_t contentHash() const;
 
     /**
-     * Toggle concurrent-access mode (the sharded engine's SA domains
-     * read and write functional state from multiple threads). While
+     * Toggle concurrent-access mode (the Gpu's SA domains read and
+     * write functional state from multiple domain threads). While
      * enabled, the shared one-entry page cache is bypassed in favour of
      * a per-thread cache and the page table itself is guarded by a
      * reader/writer lock; page buffers never move once materialised, so
@@ -256,10 +256,11 @@ class GlobalMemory
     mutable Addr cached_key_ = ~Addr(0);
     mutable const std::uint8_t *cached_page_ = nullptr;
 
-    // Concurrent mode (sharded engine): the page table is guarded by a
-    // reader/writer lock and each thread keeps its own one-entry cache,
-    // validated against a global epoch stamped per setConcurrent(true)
-    // so entries can never dangle into a later simulation's memory.
+    // Concurrent mode (several domain threads): the page table is
+    // guarded by a reader/writer lock and each thread keeps its own
+    // one-entry cache, validated against a global epoch stamped per
+    // setConcurrent(true) so entries can never dangle into a later
+    // simulation's memory.
     bool concurrent_ = false;
     std::uint64_t concurrent_epoch_ = 0;
     mutable std::shared_mutex pages_mutex_;

@@ -5,6 +5,7 @@
 
 #include "obs/cycacct.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -98,8 +99,9 @@ decodeTotals(const std::string &tag,
     return *p == '\0';
 }
 
-IntervalSampler::IntervalSampler(StatsRegistry &stats, TraceSink *trace)
-    : stats_(stats), trace_(trace)
+IntervalSampler::IntervalSampler(StatsRegistry &stats, TraceSink *trace,
+                                 Tick period)
+    : stats_(stats), trace_(trace), period_(period ? period : 1)
 {
     for (unsigned i = 0; i < numBuckets; ++i)
         names_.push_back(std::string("cyc.") +
@@ -114,9 +116,10 @@ IntervalSampler::IntervalSampler(StatsRegistry &stats, TraceSink *trace)
 void
 IntervalSampler::sample(Tick now)
 {
-    // Flush every account so the GPU-wide totals cover exactly [0, now).
-    for (CuCycleAccount *a : accounts_)
-        a->closeGap(now);
+    // Flush every account so the GPU-wide totals cover [0, now) of every
+    // CU whose domain has reached now.
+    for (const Account &a : accounts_)
+        a.acct->closeGap(std::min(now, a.clock->now()));
 
     std::array<std::uint64_t, numBuckets> totals = sumBuckets(stats_);
     std::array<std::uint64_t, 3> extra = {

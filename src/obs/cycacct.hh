@@ -26,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "sim/engine.hh"
@@ -155,33 +156,65 @@ bool decodeTotals(const std::string &tag,
                   std::array<std::uint64_t, numBuckets> &out);
 
 /**
- * The interval sampler (Engine::TickSampler): every sample period it
- * flushes each CU account to `now` and snapshots the GPU-wide bucket
- * totals plus a few headline counters (txs issued / eliminated, mask
- * reads) into TimeSeries stats named "cyc.<name>". When a trace sink
- * is attached, each sample also emits one StatSample record per
- * series (track = index into the "seriesTracks" meta list), which
- * trace_export renders as Perfetto counter tracks generically.
+ * The interval sampler: every sample period it flushes each CU account
+ * and snapshots the GPU-wide bucket totals plus a few headline counters
+ * (txs issued / eliminated, mask reads) into TimeSeries stats named
+ * "cyc.<name>". The Gpu drives it from the domain scheduler's window
+ * barrier, where every domain thread is parked, so the series is a pure
+ * function of the window sequence and identical for any thread count.
+ * When a trace sink is attached, each sample also emits one StatSample
+ * record per series (track = index into the "seriesTracks" meta list),
+ * which trace_export renders as Perfetto counter tracks generically.
  */
-class IntervalSampler : public TickSampler
+class IntervalSampler
 {
   public:
-    IntervalSampler(StatsRegistry &stats, TraceSink *trace);
+    IntervalSampler(StatsRegistry &stats, TraceSink *trace, Tick period);
 
     /** The series names, in track order (embedded in the trace meta). */
     const std::vector<std::string> &seriesNames() const { return names_; }
 
-    void registerAccount(CuCycleAccount *acct)
+    /**
+     * Sample the account of a CU whose domain engine is `clock`. A
+     * flush never runs an account past its own engine's time: an SA
+     * domain that went idle mid-window lags the barrier frontier and
+     * may still tick cycles before it.
+     */
+    void registerAccount(CuCycleAccount *acct, const Engine *clock)
     {
-        accounts_.push_back(acct);
+        accounts_.push_back({acct, clock});
     }
 
-    void sample(Tick now) override;
+    /**
+     * The simulation frontier reached `now`: take one sample, at the
+     * last period boundary, once at least a period has passed since the
+     * previous one. Snapping to the period grid makes sample ticks
+     * depend only on the period, not on which ticks a schedule visited.
+     */
+    void
+    advanceTo(Tick now)
+    {
+        if (now - last_ >= period_) {
+            last_ = now - now % period_;
+            sample(last_);
+        }
+    }
+
+    /** Flush every account (each up to its own clock) and sample. */
+    void sample(Tick now);
 
   private:
+    struct Account
+    {
+        CuCycleAccount *acct;
+        const Engine *clock;
+    };
+
     StatsRegistry &stats_;
     TraceSink *trace_;
-    std::vector<CuCycleAccount *> accounts_;
+    const Tick period_;
+    Tick last_ = 0;
+    std::vector<Account> accounts_;
     std::vector<std::string> names_;
     std::vector<TimeSeries *> series_;
 };

@@ -62,10 +62,10 @@ class LifecycleTracker
     void suspended(Tick age) { suspend_wait_.sample(age); }
 
     /**
-     * Sharded-engine support: the per-SA shard trackers are folded into
-     * the Gpu's main tracker in a fixed SA order at the end of each run
-     * (reset, then merge each shard), so dumps are identical for any
-     * thread count.
+     * Per-SA shard support: the Gpu folds each SA's shard tracker into
+     * its main tracker in a fixed SA order at the end of each run (merge,
+     * then reset the shard), so dumps are identical for any thread
+     * count.
      */
     void reset()
     {

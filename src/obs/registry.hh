@@ -63,9 +63,10 @@ class Distribution
     }
 
     /**
-     * Fold other's samples into this distribution (used by the sharded
-     * engine to combine per-SA shard distributions in a fixed order —
-     * note floating-point sum_ makes merge order part of the result).
+     * Fold other's samples into this distribution (used by the Gpu to
+     * combine per-SA shard distributions in a fixed order — note
+     * floating-point sum_ makes merge order part of the result unless
+     * every sample is an integer).
      */
     void
     merge(const Distribution &other)

@@ -103,18 +103,18 @@ struct GpuConfig
     bool cycleAccounting = false;
 
     /**
-     * Interval sampler period in ticks for cycle accounting: every N
-     * cycles the Gpu snapshots the GPU-wide bucket totals plus key
-     * elimination counters into TimeSeries stats (and, when tracing,
-     * StatSample trace records for Perfetto counter tracks). Classic
-     * engine only, like traces. 0 disables sampling.
+     * Interval sampler period in ticks for cycle accounting: at the
+     * first window barrier after every N cycles the Gpu snapshots the
+     * GPU-wide bucket totals plus key elimination counters into
+     * TimeSeries stats (and, when tracing, StatSample trace records for
+     * Perfetto counter tracks). 0 disables sampling.
      */
     Tick cycacctSampleTicks = 4096;
 
     /**
-     * Host-side phase profiler for the DomainScheduler (--sa-threads
-     * runs only): accumulate wall time per scheduler phase (SA windows,
-     * bank windows, coordinator-serial barrier work, barrier waits).
+     * Host-side phase profiler for the DomainScheduler: accumulate wall
+     * time per scheduler phase (SA windows, bank windows,
+     * coordinator-serial barrier work, barrier waits).
      * Reported by perf_engine into BENCH_perf.json sa_parallel; wall
      * times are host-dependent and never enter BENCH artifacts from
      * figure benches. Never part of the config name.
@@ -155,15 +155,13 @@ struct GpuConfig
     unsigned timingWaves = timingWavesAll;
 
     /**
-     * Intra-GPU parallel simulation (--sa-threads): 0 (the default)
-     * runs the classic single-domain engine; N >= 1 shards the engine
-     * into per-SA event domains plus per-L2-bank memory-side domains,
-     * synchronized by conservative lookahead windows of l2HopLatency
-     * cycles and executed by N threads (N = 1 is the sharded schedule
-     * on one thread). The sharded schedule is deterministic and
-     * thread-count-independent — identical statistics for any N >= 1 —
-     * but is a different (coarser-synchronized) schedule than the
-     * classic engine, so artifacts pin either 0 or >= 1, never both.
+     * Intra-GPU parallel simulation (--sa-threads): the worker threads
+     * executing the Gpu's event domains (one per shader array plus one
+     * per L2 bank, synchronized by conservative lookahead windows of
+     * l2HopLatency cycles; DESIGN.md §13). 0 and 1 both run every
+     * domain inline on the calling thread. The schedule is
+     * deterministic and thread-count-independent: identical statistics
+     * for any value. Traced runs (enableTraces) always use one thread.
      * Never part of the config name: the knob must not change which
      * artifact a sweep writes.
      */

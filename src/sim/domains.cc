@@ -22,6 +22,8 @@ DomainScheduler::DomainScheduler(Options opts, unsigned num_sa,
     banks_.reserve(num_banks_);
     for (unsigned b = 0; b < num_banks_; ++b)
         banks_.push_back(std::make_unique<BankDomain>());
+    cursor_.assign(std::max(num_sa_, num_banks_), nullptr);
+    phase_errors_.resize(std::max(num_sa_, num_banks_));
     if (opts_.profile)
         profile_.domainSec.assign(num_sa_ + num_banks_, 0.0);
 
@@ -71,111 +73,143 @@ DomainScheduler::port(unsigned sa, unsigned router)
     return *ports[router];
 }
 
+DomainScheduler::Crossing *
+DomainScheduler::CrossingPool::take()
+{
+    if (!free_) {
+        auto chunk = std::make_unique<Chunk>();
+        for (Crossing &c : chunk->slots)
+            give(&c);
+        chunk->next = std::move(chunks_);
+        chunks_ = std::move(chunk);
+    }
+    Crossing *c = free_;
+    free_ = c->next;
+    return c;
+}
+
+void
+DomainScheduler::CrossingPool::give(Crossing *c)
+{
+    c->done = nullptr;
+    c->next = free_;
+    free_ = c;
+}
+
 void
 DomainScheduler::enqueueRequest(unsigned sa, unsigned router,
                                 const MemAccess &acc, Completion &&done)
 {
     SaDomain &d = *sa_[sa];
-    d.outbox.push_back(Request{d.engine.now(), d.next_seq++, router, acc,
-                               std::move(done)});
-}
-
-void
-DomainScheduler::injectBank(unsigned bank, Tick start, MemDevice *target,
-                            const MemAccess &acc, unsigned sa,
-                            Completion &&done)
-{
-    Completion wrapped;
-    if (done) {
-        wrapped = [this, bank, sa, done = std::move(done)]() mutable {
-            respond(bank, sa, std::move(done));
-        };
-    }
-    // A bank may be locally ahead of the request tick: when an SA went
-    // idle mid-window and the barrier refill re-activated it behind the
-    // other domains, its next window starts before banks that already
-    // ran further. Clamping to the bank's own clock keeps the event out
-    // of the domain's past; it happens at the barrier, on coordinator
-    // state only, so it is as deterministic as the merge order itself.
-    Engine &be = banks_[bank]->engine;
-    const Tick when = std::max(start, be.now());
-    // Captures: target (8) + acc (16) + wrapped (32) = 56 bytes — fits
-    // the engine's 64-byte inline event record.
-    be.schedule(when,
-                [target, acc, wrapped = std::move(wrapped)]() mutable {
-                    target->access(acc, std::move(wrapped));
-                });
-}
-
-void
-DomainScheduler::respond(unsigned bank, unsigned sa, Completion &&done)
-{
-    BankDomain &d = *banks_[bank];
-    // Delivery tick: the crossing back to the SA pays the same fixed
-    // hop latency that defines the lookahead, which is exactly what
-    // guarantees the delivery lands in the *next* window (>= any SA
-    // domain's current time).
-    d.responses.push_back(Response{d.engine.now() + opts_.lookahead,
-                                   d.next_seq++, sa, std::move(done)});
+    Crossing *c = d.pool.take();
+    c->when = d.engine.now();
+    c->sa = sa;
+    c->router = router;
+    c->acc = acc;
+    c->done = std::move(done);
+    d.outbox.push(c);
 }
 
 void
 DomainScheduler::routeRequests()
 {
-    merge_requests_.clear();
-    for (unsigned s = 0; s < num_sa_; ++s) {
-        for (Request &r : sa_[s]->outbox)
-            merge_requests_.emplace_back(s, std::move(r));
-        sa_[s]->outbox.clear();
-    }
     // Fixed merge order: (when, SA index, per-SA enqueue order). The
     // key is unique, independent of the thread count, and preserves
     // each SA's own FIFO — so shared-port arbitration (inside the
-    // router) sees a deterministic request sequence.
-    std::sort(merge_requests_.begin(), merge_requests_.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second.when != b.second.when)
-                      return a.second.when < b.second.when;
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second.seq < b.second.seq;
-              });
-    for (auto &[s, r] : merge_requests_)
-        routers_[r.router](s, r.when, r.acc, std::move(r.done));
-    merge_requests_.clear();
+    // router) sees a deterministic request sequence. Each outbox is
+    // already in (when, enqueue) order (an SA's clock never runs
+    // backwards), so a k-way merge of the outbox heads produces it
+    // without a scratch buffer.
+    for (unsigned s = 0; s < num_sa_; ++s) {
+        cursor_[s] = sa_[s]->outbox.head;
+        sa_[s]->outbox = CrossingList{};
+    }
+    while (true) {
+        unsigned pick = num_sa_;
+        for (unsigned s = 0; s < num_sa_; ++s) {
+            if (cursor_[s] && (pick == num_sa_ ||
+                               cursor_[s]->when < cursor_[pick]->when))
+                pick = s;
+        }
+        if (pick == num_sa_)
+            return;
+        Crossing *c = cursor_[pick];
+        cursor_[pick] = c->next;
+        const Route r = routers_[c->router](pick, c->when, c->acc);
+        // A bank may be locally ahead of the request tick: when an SA
+        // went idle mid-window and the barrier refill re-activated it
+        // behind the other domains, its next window starts before banks
+        // that already ran further. Clamping to the bank's own clock
+        // keeps the event out of the domain's past; it happens at the
+        // barrier, on coordinator state only, so it is as deterministic
+        // as the merge order itself.
+        Engine &be = banks_[r.bank]->engine;
+        const Tick when = std::max(r.start, be.now());
+        MemDevice *target = r.target;
+        if (!c->done) {
+            // Fire-and-forget write: no response crosses back.
+            be.schedule(when, [target, acc = c->acc]() {
+                target->access(acc, nullptr);
+            });
+            sa_[pick]->pool.give(c);
+            continue;
+        }
+        c->bank = r.bank;
+        // The completion handed to the bank side captures 16 trivially
+        // copyable bytes, so std::function stores it inline.
+        be.schedule(when, [this, target, c]() {
+            target->access(c->acc, [this, c]() { respond(c); });
+        });
+    }
+}
+
+void
+DomainScheduler::respond(Crossing *c)
+{
+    BankDomain &d = *banks_[c->bank];
+    // Delivery tick: the crossing back to the SA pays the same fixed
+    // hop latency that defines the lookahead, which is exactly what
+    // guarantees the delivery lands in the *next* window (>= any SA
+    // domain's current time).
+    c->when = d.engine.now() + opts_.lookahead;
+    d.responses.push(c);
 }
 
 void
 DomainScheduler::deliverResponses()
 {
-    merge_responses_.clear();
+    // Each receiving SA must see its responses in (when, bank domain,
+    // per-bank enqueue order): that order assigns the SA engine's
+    // FIFO-within-tick sequence numbers deterministically. A k-way
+    // merge of the (when, enqueue)-ordered bank lists on (when, bank)
+    // yields exactly that order for every SA at once; how different
+    // SAs' deliveries interleave does not matter, as they land in
+    // different wheels.
     for (unsigned b = 0; b < num_banks_; ++b) {
-        for (Response &r : banks_[b]->responses)
-            merge_responses_.emplace_back(b, std::move(r));
-        banks_[b]->responses.clear();
+        cursor_[b] = banks_[b]->responses.head;
+        banks_[b]->responses = CrossingList{};
     }
-    // Fixed merge order per receiving SA: (when, bank domain, per-bank
-    // enqueue order) — the scheduling order assigns the SA engine's
-    // FIFO-within-tick sequence numbers deterministically.
-    std::sort(merge_responses_.begin(), merge_responses_.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second.sa != b.second.sa)
-                      return a.second.sa < b.second.sa;
-                  if (a.second.when != b.second.when)
-                      return a.second.when < b.second.when;
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second.seq < b.second.seq;
-              });
-    for (auto &[b, r] : merge_responses_) {
-        // The +lookahead crossing latency puts r.when at or past every
-        // SA's window end, but clamp anyway (see injectBank) so the
+    while (true) {
+        unsigned pick = num_banks_;
+        for (unsigned b = 0; b < num_banks_; ++b) {
+            if (cursor_[b] && (pick == num_banks_ ||
+                               cursor_[b]->when < cursor_[pick]->when))
+                pick = b;
+        }
+        if (pick == num_banks_)
+            return;
+        Crossing *c = cursor_[pick];
+        cursor_[pick] = c->next;
+        // The +lookahead crossing latency puts c->when at or past every
+        // SA's window end, but clamp anyway (see routeRequests) so the
         // maxTick-saturated window edge can never schedule in the past.
-        Engine &se = sa_[r.sa]->engine;
-        se.schedule(std::max(r.when, se.now()),
-                    [done = std::move(r.done)]() mutable { done(); });
+        SaDomain &sd = *sa_[c->sa];
+        sd.engine.schedule(std::max(c->when, sd.engine.now()),
+                           [done = std::move(c->done)]() mutable {
+                               done();
+                           });
+        sd.pool.give(c);
     }
-    merge_responses_.clear();
 }
 
 namespace
@@ -270,7 +304,7 @@ DomainScheduler::runPhase(bool sa_phase, Tick end, Tick limit)
         phase_end_ = end;
         phase_limit_ = limit;
         phase_total_ = total;
-        phase_errors_.assign(total, nullptr);
+        std::fill_n(phase_errors_.begin(), total, nullptr);
         for (unsigned i = 0; i < total; ++i)
             runDomain(i);
     } else {
@@ -283,7 +317,7 @@ DomainScheduler::runPhase(bool sa_phase, Tick end, Tick limit)
             phase_total_ = total;
             phase_claimed_ = 0;
             phase_done_ = 0;
-            phase_errors_.assign(total, nullptr);
+            std::fill_n(phase_errors_.begin(), total, nullptr);
             gen = ++pool_gen_;
         }
         pool_work_.notify_all();
@@ -308,12 +342,14 @@ DomainScheduler::runPhase(bool sa_phase, Tick end, Tick limit)
 }
 
 void
-DomainScheduler::pollControl()
+DomainScheduler::publishBeat(std::uint64_t progress)
 {
     const Tick t = now();
     const std::uint64_t events = eventsExecuted();
-    ctl_->heartbeat.store(t + events, std::memory_order_relaxed);
-    trace_[trace_count_++ % Engine::recentTraceSize] = {t, events};
+    ctl_->heartbeat.store(t + events + progress,
+                          std::memory_order_relaxed);
+    trace_[trace_count_++ % recentTraceSize] = {t,
+                                                        events + progress};
     const std::uint32_t cancel =
         ctl_->cancel.load(std::memory_order_relaxed);
     if (cancel) {
@@ -326,6 +362,74 @@ DomainScheduler::pollControl()
                     ? "no forward progress"
                     : "wall-clock timeout exceeded"));
     }
+}
+
+void
+DomainScheduler::externalHeartbeat(std::uint64_t progress)
+{
+    if (ctl_)
+        publishBeat(progress);
+}
+
+void
+DomainScheduler::attachTrace(TraceSink *trace)
+{
+    std::uint16_t track = 0;
+    for (auto &d : sa_)
+        d->engine.attachTrace(trace, track++);
+    for (auto &d : banks_)
+        d->engine.attachTrace(trace, track++);
+}
+
+void
+DomainScheduler::checkpointTo(ByteWriter &w) const
+{
+    w.tag("DOMS");
+    w.u64(num_sa_);
+    w.u64(num_banks_);
+    const auto domain = [&w](const Engine &e) {
+        const Engine::CheckpointState s = e.checkpointState();
+        w.u64(s.now);
+        w.u64(s.nextSeq);
+        w.u64(s.eventsExecuted);
+        w.u64(s.oversizedEvents);
+        w.u64(s.poolChunks);
+    };
+    for (const auto &d : sa_) {
+        panic_if(!d->outbox.empty(), "checkpointing with queued requests");
+        domain(d->engine);
+    }
+    for (const auto &d : banks_) {
+        panic_if(!d->responses.empty(),
+                 "checkpointing with responses in flight");
+        domain(d->engine);
+    }
+}
+
+void
+DomainScheduler::restoreFrom(ByteReader &r)
+{
+    fatal_if(!r.tag("DOMS"), "checkpoint has no domain section");
+    const std::uint64_t num_sa = r.u64();
+    const std::uint64_t num_banks = r.u64();
+    fatal_if(num_sa != num_sa_ || num_banks != num_banks_,
+             "checkpoint domain geometry (%llu SAs, %llu banks) does not "
+             "match this configuration",
+             static_cast<unsigned long long>(num_sa),
+             static_cast<unsigned long long>(num_banks));
+    const auto domain = [&r](Engine &e) {
+        Engine::CheckpointState s;
+        s.now = r.u64();
+        s.nextSeq = r.u64();
+        s.eventsExecuted = r.u64();
+        s.oversizedEvents = r.u64();
+        s.poolChunks = r.u64();
+        e.restoreCheckpoint(s);
+    };
+    for (auto &d : sa_)
+        domain(d->engine);
+    for (auto &d : banks_)
+        domain(d->engine);
 }
 
 Tick
@@ -379,7 +483,7 @@ DomainScheduler::run(Tick limit)
             if (barrier_hook_)
                 barrier_hook_();
             if (ctl_)
-                pollControl();
+                publishBeat(0);
             profile_.coordSerialSec +=
                 std::chrono::duration<double>(t1 - t0).count() +
                 secondsSince(t2);
@@ -391,7 +495,7 @@ DomainScheduler::run(Tick limit)
             if (barrier_hook_)
                 barrier_hook_();
             if (ctl_)
-                pollControl();
+                publishBeat(0);
         }
     }
 }
@@ -399,16 +503,16 @@ DomainScheduler::run(Tick limit)
 void
 DomainScheduler::reset()
 {
-    for (auto &d : sa_) {
-        d->engine.reset();
-        d->outbox.clear();
-        d->next_seq = 0;
-        d->ports.clear();
-    }
+    // Engines first: their discarded events may point at crossings.
     for (auto &d : banks_) {
         d->engine.reset();
-        d->responses.clear();
-        d->next_seq = 0;
+        d->responses = CrossingList{};
+    }
+    for (auto &d : sa_) {
+        d->engine.reset();
+        d->outbox = CrossingList{};
+        d->pool.clear();
+        d->ports.clear();
     }
     routers_.clear();
     barrier_hook_ = nullptr;
@@ -485,12 +589,12 @@ std::vector<std::pair<Tick, std::uint64_t>>
 DomainScheduler::recentActivity() const
 {
     std::vector<std::pair<Tick, std::uint64_t>> out;
-    const std::uint64_t n = trace_count_ < Engine::recentTraceSize
+    const std::uint64_t n = trace_count_ < recentTraceSize
                                 ? trace_count_
-                                : Engine::recentTraceSize;
+                                : recentTraceSize;
     out.reserve(n);
     for (std::uint64_t i = trace_count_ - n; i < trace_count_; ++i)
-        out.push_back(trace_[i % Engine::recentTraceSize]);
+        out.push_back(trace_[i % recentTraceSize]);
     return out;
 }
 

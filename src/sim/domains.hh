@@ -17,9 +17,10 @@
  * never of the thread count: the same simulation run with 1, 2 or 8
  * threads produces byte-identical statistics.
  *
- * The classic single-domain engine stays the default (and is literally
- * untouched code); the scheduler is only constructed when
- * GpuConfig::saThreads > 0.
+ * This is the simulator's only schedule: every Gpu runs its kernels
+ * through one scheduler. GpuConfig::saThreads only sets how many
+ * threads execute the domains; with one thread (saThreads 0 or 1) the
+ * coordinator runs them inline, in domain order.
  */
 
 #ifndef LAZYGPU_SIM_DOMAINS_HH
@@ -39,6 +40,7 @@
 
 #include "mem/device.hh"
 #include "sim/engine.hh"
+#include "sim/serialize.hh"
 #include "sim/types.hh"
 
 namespace lazygpu
@@ -88,16 +90,24 @@ class DomainScheduler
     /** The accumulated profile (zeros unless Options::profile). */
     const Profile &profile() const { return profile_; }
 
+    /** Where a routed boundary request goes (a RouteFn's answer). */
+    struct Route
+    {
+        unsigned bank;     //!< owning bank domain
+        Tick start;        //!< arbitrated start tick
+        MemDevice *target; //!< bank-side device, runs in bank's domain
+    };
+
     /**
      * A memory-side router: called at the window barrier, on the
      * coordinator, once per boundary request in the fixed merge order.
-     * Arbitrates shared port state and injects the access into the
-     * owning bank domain via injectBank(). `done` is empty for
-     * fire-and-forget writes (no response is delivered).
+     * Arbitrates shared port state and names the bank-side device; the
+     * scheduler then runs `target->access` at `start` in the bank's
+     * domain and carries any completion back to the SA at completion
+     * tick + lookahead.
      */
-    using RouteFn = std::function<void(unsigned sa, Tick when,
-                                       const MemAccess &acc,
-                                       Completion &&done)>;
+    using RouteFn = std::function<Route(unsigned sa, Tick when,
+                                        const MemAccess &acc)>;
 
     DomainScheduler(Options opts, unsigned num_sa, unsigned num_banks);
     ~DomainScheduler();
@@ -108,6 +118,11 @@ class DomainScheduler
     unsigned numSaDomains() const { return num_sa_; }
     unsigned numBankDomains() const { return num_banks_; }
     Tick lookahead() const { return opts_.lookahead; }
+    /** Threads executing domains, the coordinator included (>= 1). */
+    unsigned threads() const
+    {
+        return static_cast<unsigned>(workers_.size()) + 1;
+    }
 
     /** The event domain owning SA sa's CUs, L1 and ZL1. */
     Engine &saEngine(unsigned sa) { return sa_[sa]->engine; }
@@ -126,16 +141,6 @@ class DomainScheduler
     MemDevice &port(unsigned sa, unsigned router);
 
     /**
-     * Schedule `target->access(acc, <wrapped done>)` at tick start in
-     * bank domain `bank`. Only valid from a RouteFn (coordinator, at a
-     * barrier). The completion is wrapped so that when the bank-side
-     * device finishes, the response is buffered and delivered into SA
-     * `sa`'s wheel at completion tick + lookahead.
-     */
-    void injectBank(unsigned bank, Tick start, MemDevice *target,
-                    const MemAccess &acc, unsigned sa, Completion &&done);
-
-    /**
      * Invoked on the coordinator at every window barrier, after
      * responses have been delivered and before the idle check. The Gpu
      * uses it for deferred wavefront refill (the dispatch cursor is
@@ -147,6 +152,14 @@ class DomainScheduler
     }
 
     /**
+     * Attach a trace sink to every domain engine: each records its
+     * EngineCounters samples on its own track (SA domains first, then
+     * bank domains). One sink is shared by all domains, so a traced
+     * scheduler must run on one thread.
+     */
+    void attachTrace(TraceSink *trace);
+
+    /**
      * Watchdog channel, polled on the coordinator at every window
      * barrier: publishes an aggregated heartbeat (max domain tick +
      * total events executed) and throws SimError(Timeout) on cancel —
@@ -154,6 +167,29 @@ class DomainScheduler
      * lives, so crash snapshots stay valid.
      */
     void attachControl(ExecControl *ctl) { ctl_ = ctl; }
+
+    /**
+     * Watchdog heartbeat for work outside the domains (the rabbit
+     * functional executor): publishes the aggregated beat plus
+     * `progress` and honours the cancel flag like a barrier poll.
+     * No-op when no control channel is attached.
+     */
+    void externalHeartbeat(std::uint64_t progress);
+
+    /**
+     * Serialize every domain engine's Engine::CheckpointState, SA
+     * domains first (DESIGN.md §15). The channels carry no state
+     * between run() calls: the barrier merges order by position, not
+     * by a sequence counter. Only legal between run() calls, when every
+     * domain is idle and every channel empty; panics otherwise.
+     */
+    void checkpointTo(ByteWriter &w) const;
+
+    /**
+     * Restore state saved by checkpointTo into a scheduler whose
+     * domains have not run yet. Fatal on a domain-count mismatch.
+     */
+    void restoreFrom(ByteReader &r);
 
     /**
      * Run rounds of lookahead windows until every domain is idle and
@@ -186,23 +222,69 @@ class DomainScheduler
     std::vector<std::pair<Tick, std::uint64_t>> recentActivity() const;
 
   private:
-    /** One SA→memory-side boundary crossing, waiting in an outbox. */
-    struct Request
+    /**
+     * One SA→memory-side boundary crossing, from request to response.
+     * Taken from its SA domain's pool when the SA issues the request,
+     * routed at the next barrier and, when it carries a completion,
+     * handed through the bank domain and delivered back to the SA at a
+     * later barrier, where it returns to the pool.
+     */
+    struct Crossing
     {
-        Tick when;
-        std::uint64_t seq; //!< per-SA enqueue order
-        unsigned router;
+        Crossing *next = nullptr; //!< outbox, response or free list
+        Tick when = 0;            //!< request tick, then delivery tick
+        unsigned sa = 0;
+        unsigned router = 0;
+        unsigned bank = 0; //!< set when routed
         MemAccess acc;
         Completion done;
     };
 
-    /** One memory-side→SA completion, waiting in a response buffer. */
-    struct Response
+    /** Intrusive FIFO of crossings (enqueue order). */
+    struct CrossingList
     {
-        Tick when; //!< delivery tick: bank-domain completion + lookahead
-        std::uint64_t seq; //!< per-bank-domain enqueue order
-        unsigned sa;
-        Completion done;
+        Crossing *head = nullptr;
+        Crossing *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        push(Crossing *c)
+        {
+            c->next = nullptr;
+            (tail ? tail->next : head) = c;
+            tail = c;
+        }
+    };
+
+    /**
+     * Free-listed crossing storage in fixed chunks, grown on demand and
+     * never shrunk: once warm, a crossing allocates nothing. Owned by
+     * one SA domain; taken by its worker during the SA phase, returned
+     * by the coordinator at barriers — never both at once.
+     */
+    class CrossingPool
+    {
+      public:
+        Crossing *take();
+        void give(Crossing *c);
+        /** Drop every crossing, taken or free (scheduler reset). */
+        void
+        clear()
+        {
+            free_ = nullptr;
+            chunks_.reset();
+        }
+
+      private:
+        static constexpr unsigned chunkSize = 256;
+        struct Chunk
+        {
+            std::unique_ptr<Chunk> next;
+            std::array<Crossing, chunkSize> slots;
+        };
+        std::unique_ptr<Chunk> chunks_;
+        Crossing *free_ = nullptr;
     };
 
     class BoundaryPort : public MemDevice
@@ -229,24 +311,26 @@ class DomainScheduler
     {
         Engine engine;
         std::vector<std::unique_ptr<BoundaryPort>> ports;
+        CrossingPool pool;
         // Single-writer channel: only this domain's worker appends
         // (during its window), only the coordinator drains (at the
         // barrier). No locking needed.
-        std::vector<Request> outbox;
-        std::uint64_t next_seq = 0;
+        CrossingList outbox;
     };
 
     struct BankDomain
     {
         Engine engine;
         // Single-writer, as above but written by the bank worker.
-        std::vector<Response> responses;
-        std::uint64_t next_seq = 0;
+        CrossingList responses;
     };
 
     void enqueueRequest(unsigned sa, unsigned router, const MemAccess &acc,
                         Completion &&done);
-    void respond(unsigned bank, unsigned sa, Completion &&done);
+    /** A bank-side access completed: queue its response for the SA. */
+    void respond(Crossing *c);
+    /** Heartbeat + activity ring + cancel check (barrier and rabbit). */
+    void publishBeat(std::uint64_t progress);
 
     /** Run one phase (all SA domains or all bank domains) to `end`. */
     void runPhase(bool sa_phase, Tick end, Tick limit);
@@ -261,8 +345,6 @@ class DomainScheduler
     void routeRequests();
     /** Deliver all buffered responses into the SA wheels. */
     void deliverResponses();
-    /** Publish the aggregated heartbeat; honour the cancel flag. */
-    void pollControl();
 
     Options opts_;
     unsigned num_sa_;
@@ -273,9 +355,8 @@ class DomainScheduler
     std::vector<RouteFn> routers_;
     std::function<void()> barrier_hook_;
 
-    // Scratch for the barrier merge sorts (reused across rounds).
-    std::vector<std::pair<unsigned, Request>> merge_requests_;
-    std::vector<std::pair<unsigned, Response>> merge_responses_;
+    /** Per-channel read positions of the barrier k-way merges. */
+    std::vector<Crossing *> cursor_;
 
     // --- Worker pool: generation-signalled phase execution -------------
     std::vector<std::thread> workers_;
@@ -307,8 +388,9 @@ class DomainScheduler
 
     // --- Watchdog -------------------------------------------------------
     ExecControl *ctl_ = nullptr;
-    std::array<std::pair<Tick, std::uint64_t>, Engine::recentTraceSize>
-        trace_{};
+    /** Heartbeat samples retained for crash snapshots. */
+    static constexpr unsigned recentTraceSize = 16;
+    std::array<std::pair<Tick, std::uint64_t>, recentTraceSize> trace_{};
     std::uint64_t trace_count_ = 0;
 };
 

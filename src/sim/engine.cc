@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "obs/trace.hh"
-#include "sim/sim_error.hh"
 
 namespace lazygpu
 {
@@ -70,15 +69,9 @@ Engine::advanceTo(Tick t)
     if (trace_sink_ && t - trace_sink_last_ >= traceSampleTicks) {
         trace_sink_last_ = t;
         trace_sink_->emit(
-            TraceKind::EngineCounters, 0, 0, now_, num_events_,
+            TraceKind::EngineCounters, trace_track_, 0, now_, num_events_,
             (static_cast<std::uint64_t>(chunks_.size()) << 32) |
                 active_clocked_);
-    }
-    if (sampler_ && t - sampler_last_ >= sampler_period_) {
-        // Snap to the period grid so sample ticks depend only on the
-        // period, not on which ticks this particular schedule visited.
-        sampler_last_ = t - t % sampler_period_;
-        sampler_->sample(sampler_last_);
     }
 }
 
@@ -136,73 +129,10 @@ Engine::drainEventsAtNow()
     occupied_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
 }
 
-void
-Engine::pollControl()
-{
-    const std::uint64_t beat = now_ + events_executed_;
-    ctl_->heartbeat.store(beat, std::memory_order_relaxed);
-    trace_[trace_count_++ % recentTraceSize] = {now_, events_executed_};
-    const std::uint32_t cancel =
-        ctl_->cancel.load(std::memory_order_relaxed);
-    if (cancel) {
-        throwSimError(
-            SimError::Kind::Timeout, __FILE__, __LINE__,
-            detail::formatString(
-                "watchdog cancelled the run at cycle %llu (%s)",
-                static_cast<unsigned long long>(now_),
-                cancel == ExecControl::cancelStalled
-                    ? "no forward progress"
-                    : "wall-clock timeout exceeded"));
-    }
-}
-
-void
-Engine::externalHeartbeat(std::uint64_t progress)
-{
-    if (!ctl_)
-        return;
-    const std::uint64_t beat = now_ + events_executed_ + progress;
-    ctl_->heartbeat.store(beat, std::memory_order_relaxed);
-    trace_[trace_count_++ % recentTraceSize] = {now_,
-                                                events_executed_ + progress};
-    const std::uint32_t cancel =
-        ctl_->cancel.load(std::memory_order_relaxed);
-    if (cancel) {
-        throwSimError(
-            SimError::Kind::Timeout, __FILE__, __LINE__,
-            detail::formatString(
-                "watchdog cancelled the run at cycle %llu (%s)",
-                static_cast<unsigned long long>(now_),
-                cancel == ExecControl::cancelStalled
-                    ? "no forward progress"
-                    : "wall-clock timeout exceeded"));
-    }
-}
-
-std::vector<std::pair<Tick, std::uint64_t>>
-Engine::recentActivity() const
-{
-    std::vector<std::pair<Tick, std::uint64_t>> out;
-    const std::uint64_t n =
-        trace_count_ < recentTraceSize ? trace_count_ : recentTraceSize;
-    out.reserve(n);
-    for (std::uint64_t i = trace_count_ - n; i < trace_count_; ++i)
-        out.push_back(trace_[i % recentTraceSize]);
-    return out;
-}
-
 Tick
 Engine::run(Tick limit)
 {
     while (true) {
-        // Watchdog poll, amortised far off the event hot path: one
-        // predictable branch per loop iteration when no channel is
-        // attached, one decrement-and-test otherwise.
-        if (ctl_ && --poll_countdown_ == 0) {
-            poll_countdown_ = pollInterval;
-            pollControl();
-        }
-
         drainEventsAtNow();
 
         if (active_clocked_ == 0) {
@@ -301,11 +231,7 @@ Engine::reset()
     // engine (and their activity notifications would corrupt the count).
     clocked_.clear();
     active_clocked_ = 0;
-    poll_countdown_ = pollInterval;
-    trace_count_ = 0;
     trace_sink_last_ = 0;
-    sampler_ = nullptr;
-    sampler_last_ = 0;
 }
 
 } // namespace lazygpu

@@ -44,27 +44,12 @@ namespace lazygpu
 class TraceSink;
 
 /**
- * A periodic observer of simulated time (Engine::attachSampler): the
- * engine calls sample(now) whenever at least the attached period has
- * elapsed since the last sample, from the same off-hot-path hook as
- * engine-depth trace records. Samplers are purely observational — they
- * may read component state and record statistics, but must not
- * schedule events or mutate simulated state.
- */
-class TickSampler
-{
-  public:
-    virtual ~TickSampler() = default;
-    virtual void sample(Tick now) = 0;
-};
-
-/**
  * Watchdog channel between a simulation thread and its monitor.
  *
- * The engine periodically (every few thousand scheduler iterations, off
- * the per-event hot path) publishes a forward-progress heartbeat and
- * polls the cancel flag; a monitor thread that sets cancel causes the
- * engine to abandon the run by throwing a SimError of kind Timeout.
+ * The domain scheduler publishes a forward-progress heartbeat at every
+ * window barrier and polls the cancel flag there; a monitor thread that
+ * sets cancel makes it abandon the run by throwing a SimError of kind
+ * Timeout.
  */
 struct ExecControl
 {
@@ -205,7 +190,7 @@ class Engine
      * Run until simulated time reaches end (exclusive) or the domain
      * goes idle, whichever comes first. Events scheduled exactly at end
      * are NOT executed — they belong to the next window. This is the
-     * building block of the sharded engine (DomainScheduler): a domain
+     * building block of the domain schedule (DomainScheduler): a domain
      * advances through one conservative-lookahead window per call, and
      * the caller injects cross-domain messages between calls.
      *
@@ -222,7 +207,7 @@ class Engine
 
     /**
      * Tick of the earliest pending event, or maxTick when none. Used by
-     * the sharded scheduler's global fast-forward across domains.
+     * the domain scheduler's global fast-forward across domains.
      */
     Tick
     nextPendingTick() const
@@ -290,62 +275,21 @@ class Engine
     }
 
     /**
-     * Attach (or detach, with nullptr) a watchdog channel. The engine
-     * polls it every pollInterval scheduler iterations: it publishes
-     * now() + eventsExecuted() as the heartbeat, records the sample in
-     * the recent-activity ring, and throws a SimError(Timeout) when the
-     * cancel flag is set. The channel must outlive the run.
-     */
-    void attachControl(ExecControl *ctl) { ctl_ = ctl; }
-
-    /**
-     * Watchdog heartbeat for non-event execution phases (e.g. the rabbit
-     * functional executor, which makes forward progress without running
-     * engine events). Publishes now() + eventsExecuted() + progress so
-     * the beat keeps advancing, records the sample in the
-     * recent-activity ring, and throws SimError(Timeout) when the cancel
-     * flag is set. No-op when no control channel is attached.
-     */
-    void externalHeartbeat(std::uint64_t progress);
-
-    /**
      * Attach (or detach, with nullptr) a trace sink. While attached,
      * every time advance of at least traceSampleTicks emits one
      * EngineCounters record (queue depth, pool chunks, active clocked
-     * components) -- off the event hot path.
+     * components) on `track` -- off the event hot path.
      */
     void
-    attachTrace(TraceSink *trace)
+    attachTrace(TraceSink *trace, std::uint16_t track = 0)
     {
         trace_sink_ = trace;
+        trace_track_ = track;
         trace_sink_last_ = 0;
     }
 
     /** Minimum ticks between engine-depth trace records. */
     static constexpr Tick traceSampleTicks = 64;
-
-    /**
-     * Attach (or detach, with nullptr) a periodic sampler, called with
-     * the current tick whenever at least `period` ticks have elapsed
-     * since the last call (same advance-time hook as the trace sink:
-     * one predicted branch when absent, nothing on the per-event path).
-     * Sample ticks are a deterministic function of simulated time, so
-     * sampled series are identical across hosts and thread counts.
-     */
-    void
-    attachSampler(TickSampler *s, Tick period)
-    {
-        sampler_ = s;
-        sampler_period_ = period ? period : 1;
-        sampler_last_ = 0;
-    }
-
-    /**
-     * The last recentTraceSize heartbeat samples (tick, eventsExecuted),
-     * oldest first — the forward-progress trajectory embedded in crash
-     * snapshots. Only populated while a control channel is attached.
-     */
-    std::vector<std::pair<Tick, std::uint64_t>> recentActivity() const;
 
     // --- Instrumentation (perf tracking and allocation tests) -----------
     /** Total events executed since construction/reset. */
@@ -359,11 +303,6 @@ class Engine
 
     /** Inline payload capacity of one pooled event record, in bytes. */
     static constexpr std::size_t inlineEventBytes = 64;
-
-    /** Scheduler iterations between watchdog polls (power of two). */
-    static constexpr unsigned pollInterval = 1024;
-    /** Heartbeat samples retained for crash snapshots. */
-    static constexpr unsigned recentTraceSize = 16;
 
   private:
     struct EventRecord
@@ -467,9 +406,6 @@ class Engine
     /** Run every event scheduled at the current tick. */
     void drainEventsAtNow();
 
-    /** Publish heartbeat, record the trace sample, honour cancel. */
-    void pollControl();
-
     /** Destroy every pending event's payload and recycle its record. */
     void clearEvents();
 
@@ -493,22 +429,10 @@ class Engine
     std::uint64_t events_executed_ = 0;
     std::uint64_t oversized_events_ = 0;
 
-    // Watchdog channel (nullptr outside sweep workers). The poll
-    // counter and trace ring live off the event hot path: run() only
-    // touches them once per pollInterval loop iterations.
-    ExecControl *ctl_ = nullptr;
-    unsigned poll_countdown_ = pollInterval;
-    std::array<std::pair<Tick, std::uint64_t>, recentTraceSize> trace_{};
-    std::uint64_t trace_count_ = 0;
-
     // Observability sink (nullptr unless tracing is enabled).
     TraceSink *trace_sink_ = nullptr;
+    std::uint16_t trace_track_ = 0;
     Tick trace_sink_last_ = 0;
-
-    // Periodic sampler (nullptr unless cycle accounting samples).
-    TickSampler *sampler_ = nullptr;
-    Tick sampler_period_ = 1;
-    Tick sampler_last_ = 0;
 };
 
 } // namespace lazygpu

@@ -69,9 +69,10 @@ struct DiffOptions
      */
     unsigned timingWaves = GpuConfig::timingWavesAll;
     /**
-     * Intra-GPU domain threads (GpuConfig::saThreads): N >= 1 runs the
-     * timed simulations on the sharded engine, so a corpus replay
-     * cross-checks the parallel schedule against the untimed reference.
+     * Intra-GPU domain threads (GpuConfig::saThreads): N >= 2 runs the
+     * timed simulations' event domains on N threads, so a corpus replay
+     * cross-checks the parallel execution against the untimed
+     * reference.
      */
     unsigned saThreads = 0;
 };

@@ -4,8 +4,9 @@
  * checkpoint must be byte-identical to the straight-through run — the
  * property the fault campaign's fork-at-injection-cycle protocol rests
  * on. Pinned by comparing the two runs' *final checkpoint images*
- * byte-for-byte (memory, caches, stats and engine state all serialize),
- * plus the guard fatals for engine variants that cannot checkpoint.
+ * byte-for-byte (memory, caches, stats and every domain engine's state
+ * all serialize), across domain-thread counts, plus the guard fatals
+ * for images that cannot be restored.
  */
 
 #include <gtest/gtest.h>
@@ -31,10 +32,13 @@ ckptParams()
     return p;
 }
 
+/** 4 shader arrays and 2 L2 banks: six event domains. */
 GpuConfig
-ckptCfg()
+ckptCfg(unsigned sa_threads = 0)
 {
-    return GpuConfig::lazyGpu(ExecMode::LazyGPU).scaled(4);
+    GpuConfig cfg = GpuConfig::lazyGpu(ExecMode::LazyGPU).scaled(4);
+    cfg.saThreads = sa_threads;
+    return cfg;
 }
 
 TEST(Checkpoint, ResumeIsByteIdenticalToStraightThrough)
@@ -58,7 +62,7 @@ TEST(Checkpoint, ResumeIsByteIdenticalToStraightThrough)
         }
         gpu.saveCheckpoint(final_straight);
         hash_straight = straight.mem->contentHash();
-        cycles_straight = gpu.engine().now();
+        cycles_straight = gpu.domains()->now();
     }
     ASSERT_FALSE(mid.empty());
 
@@ -72,7 +76,7 @@ TEST(Checkpoint, ResumeIsByteIdenticalToStraightThrough)
         for (std::size_t k = 1; k < resumed.kernels.size(); ++k)
             gpu.run(resumed.kernels[k]);
         gpu.saveCheckpoint(final_resumed);
-        EXPECT_EQ(cycles_straight, gpu.engine().now());
+        EXPECT_EQ(cycles_straight, gpu.domains()->now());
     }
     EXPECT_EQ(hash_straight, resumed.mem->contentHash());
     // The cmp: every serialized byte of final state matches.
@@ -100,16 +104,51 @@ TEST(Checkpoint, RestoreRequiresAFreshGpu)
     }
 }
 
-TEST(Checkpoint, ShardedEngineCannotCheckpoint)
+TEST(Checkpoint, ResumeIsByteIdenticalAcrossDomainThreads)
 {
-    const RecoverableScope scope;
+    // Checkpoint after FFT stage 0 on one domain thread, resume on one
+    // and on two: every final image must match the straight run, and the
+    // mid-run images must not depend on the thread count either.
     const WorkloadParams p = ckptParams();
-    Workload w = makeFFT(p);
-    GpuConfig cfg = ckptCfg();
-    cfg.saThreads = 2;
-    Gpu gpu(cfg, *w.mem);
-    std::vector<std::uint8_t> out;
-    EXPECT_THROW(gpu.saveCheckpoint(out), SimError);
+    const GpuConfig cfg = ckptCfg(1);
+    ASSERT_EQ(4u, cfg.numShaderArrays);
+    ASSERT_EQ(2u, cfg.l2Banks);
+
+    std::vector<std::uint8_t> mid1, final_straight;
+    {
+        Workload w = makeFFT(p);
+        Gpu gpu(cfg, *w.mem);
+        for (std::size_t k = 0; k < w.kernels.size(); ++k) {
+            if (k == 1)
+                gpu.saveCheckpoint(mid1);
+            gpu.run(w.kernels[k]);
+        }
+        gpu.saveCheckpoint(final_straight);
+    }
+    for (unsigned threads : {1u, 2u}) {
+        std::vector<std::uint8_t> mid, final_resumed;
+        {
+            Workload w = makeFFT(p);
+            Gpu gpu(ckptCfg(threads), *w.mem);
+            gpu.run(w.kernels[0]);
+            gpu.saveCheckpoint(mid);
+        }
+        EXPECT_TRUE(mid == mid1) << "--sa-threads " << threads;
+        {
+            Workload w = makeFFT(p);
+            Gpu gpu(ckptCfg(threads), *w.mem);
+            gpu.restoreCheckpoint(mid1);
+            for (std::size_t k = 1; k < w.kernels.size(); ++k)
+                gpu.run(w.kernels[k]);
+            gpu.saveCheckpoint(final_resumed);
+            if (w.verify) {
+                EXPECT_EQ("", w.verify(*w.mem));
+            }
+        }
+        ASSERT_EQ(final_straight.size(), final_resumed.size());
+        EXPECT_TRUE(final_straight == final_resumed)
+            << "--sa-threads " << threads;
+    }
 }
 
 TEST(Checkpoint, TruncatedOrCorruptImageIsRejected)

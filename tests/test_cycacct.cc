@@ -99,16 +99,19 @@ TEST_P(CycAcctInvariant, BucketsSumToElapsedCuCycles)
     for (const Kernel &k : w.kernels)
         gpu.run(k);
 
-    // Classic engine: every CU's account spans [0, engine.now()), so
-    // the GPU-wide totals sum to numCus * now. (The per-CU equality in
-    // every mode, including sharded, is asserted by LAZYGPU_CHECK
-    // builds at the end of each launch.)
+    // Every CU's account spans [0, now) of its own shader array's
+    // domain engine (domains stop at different ticks), so the GPU-wide
+    // totals sum to cusPerSa * Σ SA-domain now. (The per-CU equality is
+    // asserted by LAZYGPU_CHECK builds at the end of each launch.)
     const auto totals = cycacct::sumBuckets(gpu.stats());
     std::uint64_t sum = 0;
     for (std::uint64_t v : totals)
         sum += v;
-    EXPECT_GT(gpu.engine().now(), 0u);
-    EXPECT_EQ(gpu.engine().now() * cfg.numCus(), sum);
+    std::uint64_t elapsed = 0;
+    for (unsigned sa = 0; sa < cfg.numShaderArrays; ++sa)
+        elapsed += gpu.domains()->saEngine(sa).now() * cfg.cusPerSa;
+    EXPECT_GT(elapsed, 0u);
+    EXPECT_EQ(elapsed, sum);
     // The run did real work, so some cycles must be busy.
     EXPECT_GT(totals[static_cast<unsigned>(cycacct::Bucket::Busy)], 0u);
 }

@@ -329,9 +329,8 @@ TEST(DomainScheduler, RoutesRequestsAndDeliversResponsesAcrossWindows)
     DomainScheduler sched(o, 2, 2);
     DelayDevice bank0(sched.bankEngine(0), 3);
     const unsigned r =
-        sched.addRouter([&](unsigned sa, Tick when, const MemAccess &acc,
-                            Completion &&done) {
-            sched.injectBank(0, when, &bank0, acc, sa, std::move(done));
+        sched.addRouter([&](unsigned, Tick when, const MemAccess &) {
+            return DomainScheduler::Route{0, when, &bank0};
         });
 
     Tick delivered_at = maxTick;
@@ -364,11 +363,10 @@ TEST(DomainScheduler, ResetTearsDownAndRearmsDomains)
     sched.saEngine(1).addClocked(&stale);
 
     DelayDevice bank0(sched.bankEngine(0), 3);
-    unsigned r = sched.addRouter([&](unsigned sa, Tick when,
-                                     const MemAccess &acc,
-                                     Completion &&done) {
-        sched.injectBank(0, when, &bank0, acc, sa, std::move(done));
-    });
+    unsigned r =
+        sched.addRouter([&](unsigned, Tick when, const MemAccess &) {
+            return DomainScheduler::Route{0, when, &bank0};
+        });
     int stale_deliveries = 0;
     sched.saEngine(0).schedule(2, [&]() {
         sched.port(0, r).access(MemAccess{0x1000, 32, false},
@@ -386,9 +384,8 @@ TEST(DomainScheduler, ResetTearsDownAndRearmsDomains)
     // Re-arm: fresh router, fresh component, fresh request — the old
     // ones must stay gone.
     DelayDevice fresh_bank(sched.bankEngine(0), 3);
-    r = sched.addRouter([&](unsigned sa, Tick when, const MemAccess &acc,
-                            Completion &&done) {
-        sched.injectBank(0, when, &fresh_bank, acc, sa, std::move(done));
+    r = sched.addRouter([&](unsigned, Tick when, const MemAccess &) {
+        return DomainScheduler::Route{0, when, &fresh_bank};
     });
     Countdown fresh(sched.saEngine(1), 3);
     sched.saEngine(1).addClocked(&fresh);

@@ -188,7 +188,7 @@ TEST(RabbitSampling, RabbitPathHonoursWatchdogCancel)
     Gpu gpu(cfg, *w.mem);
     ExecControl ctl;
     ctl.cancel.store(ExecControl::cancelWallClock);
-    gpu.engine().attachControl(&ctl);
+    gpu.attachControl(&ctl);
     try {
         gpu.run(w.kernels[0]);
         FAIL() << "cancelled rabbit run did not throw";

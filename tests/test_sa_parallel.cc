@@ -1,16 +1,18 @@
 /**
  * @file
- * Tier-1 determinism suite for the sharded engine (--sa-threads).
+ * Tier-1 determinism suite for the domain schedule's thread count
+ * (--sa-threads).
  *
- * The parallel scheduler's contract is that the logical event schedule
- * depends only on the domain decomposition, never on the worker-thread
- * count: the full stats dump (every counter, distribution and histogram
+ * The scheduler's contract is that the logical event schedule depends
+ * only on the domain decomposition, never on the worker-thread count:
+ * the full stats dump (every counter, distribution and histogram
  * digit) must be byte-identical for any --sa-threads value. These tests
- * pin that contract for all five execution modes, pin golden stat rows
- * for the sharded schedule itself (which legitimately differs from the
- * classic single-engine schedule by a few cache-hop cycles), and replay
- * the committed verif corpus on the sharded engine to cross-check the
- * parallel schedule against the untimed reference executor.
+ * pin that contract for all five execution modes and for the
+ * observational features that run at window barriers (the interval
+ * sampler) or force one thread (traces), and replay the committed
+ * verif corpus on several domain threads to cross-check the parallel
+ * execution against the untimed reference executor. The schedule's
+ * own golden rows live in test_golden_stats.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/harness.hh"
 #include "core/exec_mode.hh"
 #include "gpu/gpu.hh"
 #include "sim/config.hh"
@@ -110,61 +111,54 @@ INSTANTIATE_TEST_SUITE_P(
         return sanitizedModeName(info.param);
     });
 
-// Golden stat rows for the *sharded* schedule (captured from
-// --sa-threads 1; the domain decomposition re-times L2 hops so these
-// differ slightly from the classic-engine goldens in
-// test_golden_stats.cc). Any change here is a schedule change and must
-// be deliberate.
-struct ShardedGolden
+/** A traced, sampled MM run: the stats dump and every trace record. */
+std::string
+runObservedMM(unsigned sa_threads, bool traces)
 {
-    ExecMode mode;
-    double sparsity;
-    Tick cycles;
-    std::uint64_t txsIssued;
-    std::uint64_t txsElimZero;
-    std::uint64_t l2Requests;
-    std::uint64_t dramRequests;
-};
-
-class SaParallelGolden : public ::testing::TestWithParam<ShardedGolden>
-{
-};
-
-TEST_P(SaParallelGolden, MatchesPinnedShardedSchedule)
-{
-    const ShardedGolden &g = GetParam();
     WorkloadParams p;
-    p.sparsity = g.sparsity;
+    p.sparsity = 0.5;
     p.scale = 16;
     Workload w = makeMM(p);
-
-    GpuConfig cfg = shardedConfig(g.mode, 1);
-    const RunResult r = runWorkload(cfg, w, true);
-
-    EXPECT_EQ("", r.verifyError);
-    EXPECT_EQ(g.cycles, r.cycles);
-    EXPECT_EQ(g.txsIssued, r.txsIssued);
-    EXPECT_EQ(g.txsElimZero, r.txsElimZero);
-    EXPECT_EQ(g.l2Requests, r.l2Requests);
-    EXPECT_EQ(g.dramRequests, r.dramRequests);
+    GpuConfig cfg = shardedConfig(ExecMode::LazyGPU, sa_threads);
+    cfg.cycleAccounting = true;
+    cfg.cycacctSampleTicks = 256;
+    cfg.enableTraces = traces; // empty tracePath: in-memory sink
+    Gpu gpu(cfg, *w.mem);
+    for (const Kernel &k : w.kernels)
+        gpu.run(k);
+    const auto &series = gpu.stats().allSeries();
+    EXPECT_TRUE(series.count("cyc.busy") &&
+                !series.at("cyc.busy").points().empty())
+        << "the interval sampler took no samples";
+    std::string out = gpu.stats().dump();
+    if (traces) {
+        for (const TraceRecord &r : gpu.trace()->records()) {
+            out += std::to_string(r.kind) + ' ' + std::to_string(r.track) +
+                   ' ' + std::to_string(r.tick) + ' ' +
+                   std::to_string(r.id) + ' ' + std::to_string(r.arg) +
+                   '\n';
+        }
+    }
+    return out;
 }
 
-const ShardedGolden kShardedGolden[] = {
-    {ExecMode::Baseline, 0.00, 5334ull, 19008ull, 0ull, 1232ull, 529ull},
-    {ExecMode::LazyGPU, 0.50, 2697ull, 8593ull, 2200ull, 1152ull, 530ull},
-};
+// The interval sampler fires at window barriers and traces run the
+// domains on one thread: neither the sampled series nor the trace may
+// depend on the requested thread count.
+TEST(SaParallel, SamplerAndTraceByteIdenticalAcrossThreadCounts)
+{
+    const std::string sampled1 = runObservedMM(1, false);
+    EXPECT_EQ(sampled1, runObservedMM(2, false));
+    EXPECT_EQ(sampled1, runObservedMM(8, false));
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardedSchedule, SaParallelGolden,
-    ::testing::ValuesIn(kShardedGolden),
-    [](const ::testing::TestParamInfo<ShardedGolden> &info) {
-        return sanitizedModeName(info.param.mode) + "_s" +
-               std::to_string(static_cast<int>(info.param.sparsity * 100));
-    });
+    const std::string traced1 = runObservedMM(1, true);
+    EXPECT_EQ(traced1, runObservedMM(2, true));
+    EXPECT_EQ(traced1, runObservedMM(8, true));
+}
 
-// Replay the committed verif corpus on the sharded engine: the timed
-// simulation runs with two domain threads and must still match the
-// untimed reference word-for-word in every mode.
+// Replay the committed verif corpus on two domain threads: the timed
+// simulation must still match the untimed reference word-for-word in
+// every mode.
 TEST(SaParallel, CorpusReplayOnShardedEngine)
 {
     const auto files = verif::listCorpusFiles(LAZYGPU_CORPUS_DIR);

@@ -6,8 +6,8 @@
  * suspension masks, the zero-bitmap probe, the batched load/store paths
  * of the reference executor across every access width, the Wavefront
  * bitmap-only scoreboard, scalar-vs-plane lockstep of the rabbit and
- * the timed Gpu (classic and sharded engine: stats dump, Fig 14 outcome
- * classes and memory image) across all five ExecModes, and the A/B guard
+ * the timed Gpu (domains inline and on two threads: stats dump, Fig 14
+ * outcome classes and memory image) across all five ExecModes, and the A/B guard
  * that fails if auto-vectorization of the plane core silently breaks.
  */
 
@@ -561,8 +561,8 @@ rabbitConfig(ExecMode mode)
 
 // Both executors run VALU on the plane core, with LAZYGPU_SCALAR_REF
 // routing them through the scalar oracle instead. On each executor --
-// the rabbit, the timed Gpu on the classic engine, and the timed Gpu on
-// the sharded engine with two domain threads -- the two paths must give
+// the rabbit, the timed Gpu with its domains inline, and the timed Gpu
+// with two domain threads -- the two paths must give
 // the same full stats dump (in particular the Fig 14 outcome classes:
 // issued / zero / otimes / dead eliminations) and the same final memory
 // image, in all five ExecModes.
