@@ -1,6 +1,7 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "inject/fault.hh"
 #include "sim/logging.hh"
@@ -33,7 +34,7 @@ ComputeUnit::ComputeUnit(Engine &engine, StatsRegistry &stats,
     : engine_(engine), stats_(stats), lifecycle_(lifecycle),
       trace_(trace), cfg_(cfg), hier_(hier), cu_id_(cu_id),
       sa_id_(sa_id), mode_(cfg.mode), simd_busy_(cfg.simdPerCu, 0),
-      ready_per_simd_(cfg.simdPerCu, 0),
+      simd_waves_(cfg.simdPerCu), simd_ready_(cfg.simdPerCu, 0),
       simd_busy_cycles_(stats.counter(cuPrefix(cfg, cu_id, sa_id) +
                                       "simd_busy_cycles")),
       lazy_(cfg, mem, stats, cuPrefix(cfg, cu_id, sa_id), *this, &engine,
@@ -55,16 +56,18 @@ ComputeUnit::addWavefront(std::unique_ptr<Wavefront> wave)
     panic_if(!hasFreeSlot(), "cu.%u: dispatch beyond occupancy limit",
              cu_id_);
     // Pin the wavefront to the least-loaded SIMD.
-    std::vector<unsigned> load(cfg_.simdPerCu, 0);
-    for (const auto &w : waves_)
-        ++load[w->simdId];
     unsigned best = 0;
     for (unsigned s = 1; s < cfg_.simdPerCu; ++s) {
-        if (load[s] < load[best])
+        if (simd_waves_[s].size() < simd_waves_[best].size())
             best = s;
     }
+    std::vector<Wavefront *> &list = simd_waves_[best];
+    panic_if(list.size() >= 64, "cu.%u: more than 64 waves on one SIMD",
+             cu_id_);
     wave->simdId = best;
+    wave->simdPos = static_cast<unsigned>(list.size());
     wave->dispatchTick = engine_.now();
+    list.push_back(wave.get());
     if (trace_) {
         wave->traceId = trace_->nextId();
         trace_->emit(TraceKind::WaveBegin, traceTrack(), 0,
@@ -73,7 +76,7 @@ ComputeUnit::addWavefront(std::unique_ptr<Wavefront> wave)
     waves_.push_back(std::move(wave));
     // Fresh wavefronts arrive Ready; account for them in the quiescence
     // protocol (the engine no longer polls every component).
-    ++ready_per_simd_[best];
+    simd_ready_[best] |= std::uint64_t(1) << waves_.back()->simdPos;
     noteReadyDelta(1);
 }
 
@@ -127,7 +130,7 @@ ComputeUnit::setStatus(Wavefront &wave, WaveStatus s)
     const bool is_ready = s == WaveStatus::Ready;
     wave.status = s;
     if (was_ready != is_ready) {
-        ready_per_simd_[wave.simdId] += is_ready ? 1 : -1u;
+        simd_ready_[wave.simdId] ^= std::uint64_t(1) << wave.simdPos;
         noteReadyDelta(is_ready ? 1 : -1);
     }
 }
@@ -151,17 +154,19 @@ ComputeUnit::noteReadyDelta(int delta)
 Wavefront *
 ComputeUnit::pickWave(unsigned simd)
 {
+    // Greedy oldest-first: a SIMD's list is in dispatch order (waves are
+    // appended at dispatch, so dispatch ticks never decrease along it,
+    // and removal keeps the order), so its first Ready wave whose issue
+    // throttle has passed is the eligible wave with the earliest
+    // dispatch tick, ties going to the earlier dispatch.
     const Tick now = engine_.now();
-    Wavefront *best = nullptr;
-    for (const auto &w : waves_) {
-        if (w->simdId != simd || w->status != WaveStatus::Ready ||
-            w->nextIssue > now) {
-            continue;
-        }
-        if (!best || w->dispatchTick < best->dispatchTick)
-            best = w.get();
+    const std::vector<Wavefront *> &list = simd_waves_[simd];
+    for (std::uint64_t bits = simd_ready_[simd]; bits; bits &= bits - 1) {
+        Wavefront *w = list[std::countr_zero(bits)];
+        if (w->nextIssue <= now)
+            return w;
     }
-    return best;
+    return nullptr;
 }
 
 void
@@ -185,7 +190,7 @@ ComputeUnit::tick()
             busy = true; // mid-execution (multi-cycle VALU occupancy)
             continue;
         }
-        if (ready_per_simd_[s] == 0)
+        if (simd_ready_[s] == 0)
             continue;
         if (Wavefront *wave = pickWave(s)) {
             executeOne(*wave, s);
@@ -399,33 +404,55 @@ ComputeUnit::sendData(Wavefront &wave, PendingLoad &pl,
     const unsigned slot = addFlight(Flight{
         &wave, pl.slot, pl.id, static_cast<unsigned>(&tx - pl.txs.data()),
         tx.addr, issue_tick, pl.recordTick, span_id});
-    issueTx(tx.addr, false, [this, slot]() {
-        const Flight f = takeFlight(slot);
-        Wavefront &w = *f.wave;
-        --w.outstanding_txs_;
-        const Tick lat = engine_.now() - f.issueTick;
-        mem_latency_.sample(static_cast<double>(lat));
-        lifecycle_.resolved(engine_.now() - f.recordTick);
-        if (trace_) {
-            trace_->emit(TraceKind::TxEnd, traceTrack(), 0, engine_.now(),
-                         f.spanId, f.addr);
+    Completion done = [this, slot]() { onDataResponse(slot); };
+    if (inject_) {
+        const Tick now = engine_.now();
+        if (inject_->dropResponse(now)) {
+            // The hierarchy still services the access; the completion
+            // never reaches the LSU (a lost response packet).
+            done = nullptr;
+        } else if (const Tick d = inject_->extraResponseDelay(now)) {
+            panic_if(d > ~std::uint32_t(0),
+                     "cu.%u: injected response delay out of range",
+                     cu_id_);
+            done = [this, slot, d32 = static_cast<std::uint32_t>(d)]() {
+                engine_.scheduleIn(d32, [this, slot]() {
+                    onDataResponse(slot);
+                });
+            };
         }
-        bool load_drained = true;
-        if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId)) {
-            --p->inflightTxs;
-            load_drained = p->inflightTxs == 0;
-            if (inject_ && inject_->wantScoreboardFlip(engine_.now()))
-                p->wordsLeft += 1;
-            lazy_.fill(w, *p, p->txs[f.txIdx]);
-            lazy_.finishIfResolved(w, *p);
-        }
-        // Waking per transaction would burn issue slots on futile
-        // re-executions; wake once the whole load's data is in.
-        if (load_drained)
-            wake(w);
-        maybeFinalize(&w);
-        restallIfQuiescent();
-    });
+    }
+    issueTx(tx.addr, false, done);
+}
+
+void
+ComputeUnit::onDataResponse(unsigned slot)
+{
+    const Flight f = takeFlight(slot);
+    Wavefront &w = *f.wave;
+    --w.outstanding_txs_;
+    const Tick lat = engine_.now() - f.issueTick;
+    mem_latency_.sample(static_cast<double>(lat));
+    lifecycle_.resolved(engine_.now() - f.recordTick);
+    if (trace_) {
+        trace_->emit(TraceKind::TxEnd, traceTrack(), 0, engine_.now(),
+                     f.spanId, f.addr);
+    }
+    bool load_drained = true;
+    if (PendingLoad *p = w.pendingAt(f.plSlot, f.plId)) {
+        --p->inflightTxs;
+        load_drained = p->inflightTxs == 0;
+        if (inject_ && inject_->wantScoreboardFlip(engine_.now()))
+            p->wordsLeft += 1;
+        lazy_.fill(w, *p, p->txs[f.txIdx]);
+        lazy_.finishIfResolved(w, *p);
+    }
+    // Waking per transaction would burn issue slots on futile
+    // re-executions; wake once the whole load's data is in.
+    if (load_drained)
+        wake(w);
+    maybeFinalize(&w);
+    restallIfQuiescent();
 }
 
 void
@@ -512,33 +539,17 @@ ComputeUnit::writeData(Addr tx_addr, bool zero_skipped)
 void
 ComputeUnit::issueTx(Addr addr, bool write, Completion cb)
 {
-    if (inject_ && cb) {
-        const Tick now = engine_.now();
-        if (inject_->dropResponse(now)) {
-            // The hierarchy still services the access; the completion
-            // never reaches the LSU (a lost response packet).
-            cb = nullptr;
-        } else if (const Tick d = inject_->extraResponseDelay(now)) {
-            cb = [this, d, inner = std::move(cb)]() mutable {
-                engine_.scheduleIn(d, std::move(inner));
-            };
-        }
-    }
-    engine_.scheduleIn(cfg_.lsuPipeLatency,
-                       [this, addr, write, cb = std::move(cb)]() mutable {
-                           hier_.accessData(sa_id_, addr, transactionSize,
-                                            write, std::move(cb));
-                       });
+    engine_.scheduleIn(cfg_.lsuPipeLatency, [this, addr, write, cb]() {
+        hier_.accessData(sa_id_, addr, transactionSize, write, cb);
+    });
 }
 
 void
 ComputeUnit::issueMaskTx(Addr mask_addr, bool write, Completion cb)
 {
     engine_.scheduleIn(cfg_.lsuPipeLatency,
-                       [this, mask_addr, write,
-                        cb = std::move(cb)]() mutable {
-                           hier_.accessMask(sa_id_, mask_addr, write,
-                                            std::move(cb));
+                       [this, mask_addr, write, cb]() {
+                           hier_.accessMask(sa_id_, mask_addr, write, cb);
                        });
 }
 
@@ -611,6 +622,16 @@ ComputeUnit::maybeFinalize(Wavefront *wave)
         trace_->emit(TraceKind::WaveEnd, traceTrack(), 0, engine_.now(),
                      wave->traceId, wave->wid());
     }
+    // Close the wave's gap in its SIMD's list and ready bitmap (a Done
+    // wave's ready bit is already clear).
+    std::vector<Wavefront *> &list = simd_waves_[wave->simdId];
+    const unsigned pos = wave->simdPos;
+    list.erase(list.begin() + pos);
+    for (unsigned i = pos; i < list.size(); ++i)
+        list[i]->simdPos = i;
+    std::uint64_t &ready = simd_ready_[wave->simdId];
+    const std::uint64_t below = (std::uint64_t(1) << pos) - 1;
+    ready = (ready & below) | ((ready >> 1) & ~below);
     waves_.erase(it);
     if (retire_cb_)
         retire_cb_();

@@ -194,8 +194,7 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
     /**
      * One data transaction, short-circuit or zero-mask probe in the
      * memory system: everything its response needs. The response
-     * callback captures only {this, flight slot}, which fits
-     * std::function's inline buffer, so no request allocates.
+     * completion captures only {this, flight slot}.
      */
     struct Flight
     {
@@ -212,6 +211,7 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
     /** Copy out slot's flight and free the slot. */
     Flight takeFlight(unsigned slot);
     void onMaskResponse(unsigned slot);
+    void onDataResponse(unsigned slot);
 
     // --- Transaction plumbing -----------------------------------------------
     /** Issue one data transaction through the LSU pipe; cb on response. */
@@ -282,8 +282,11 @@ class ComputeUnit : public Clocked, private LazyUnit::Port
 
     /** Waves with status Ready; quiescent() is this count being zero. */
     unsigned ready_waves_ = 0;
-    /** Ready waves per SIMD, so tick() skips SIMDs with nothing to pick. */
-    std::vector<unsigned> ready_per_simd_;
+    /** Each SIMD's resident waves in dispatch order (waves_ filtered by
+     *  simdId; Wavefront::simdPos indexes it). */
+    std::vector<std::vector<Wavefront *>> simd_waves_;
+    /** Per SIMD: bit i set iff simd_waves_[simd][i] is Ready. */
+    std::vector<std::uint64_t> simd_ready_;
 
     /** In-flight requests by slot; grows to the CU's peak in flight. */
     std::vector<Flight> flights_;

@@ -513,71 +513,136 @@ LazyUnit::windowIssue(Wavefront &wave)
 
 // --- Record and issue ---------------------------------------------------
 
+bool
+loadFootprint(Opcode op, const std::array<Addr, wavefrontSize> &lane_addr,
+              std::vector<PendingLoad::Tx> &txs)
+{
+    const unsigned nregs = loadDstRegs(op);
+    // A lane's words are contiguous: its span is the load width (the
+    // words of a byte/short load are narrower than a register).
+    const Addr lane_span = loadBytes(op);
+    const unsigned bytes_per_word =
+        std::min<unsigned>(static_cast<unsigned>(lane_span),
+                           maskGranularity);
+    txs.clear();
+    // Equal transactions of different lanes merge in first-touch order.
+    // Consecutive lanes and groups almost always hit the same
+    // transaction, so remember the last one and only fall back to the
+    // linear search on an address change.
+    PendingLoad::Tx *last = nullptr;
+    const auto txAt = [&](Addr ta) -> PendingLoad::Tx & {
+        if (last && last->addr == ta)
+            return *last;
+        auto it = std::find_if(txs.begin(), txs.end(),
+                               [ta](const auto &tx) { return tx.addr == ta; });
+        last = it != txs.end() ? &*it
+                               : &txs.emplace_back(PendingLoad::Tx{ta});
+        return *last;
+    };
+    // Give the words of `lanes`, which all start at lo, to their
+    // transactions in register order; a span inside one transaction
+    // takes one lookup.
+    const auto addLanes = [&](Addr lo, LaneMask lanes) {
+        if (txAlign(lo + lane_span - 1) == txAlign(lo)) {
+            PendingLoad::Tx &tx = txAt(txAlign(lo));
+            for (unsigned r = 0; r < nregs; ++r)
+                tx.words[r] |= lanes;
+            return;
+        }
+        for (unsigned r = 0; r < nregs; ++r) {
+            const Addr wa = lo + 4ull * r;
+            const Addr ta = txAlign(wa);
+            panic_if(txAlign(wa + bytes_per_word - 1) != ta,
+                     "load word straddles a transaction; kernels must "
+                     "use naturally aligned accesses");
+            txAt(ta).words[r] |= lanes;
+        }
+    };
+
+    // Lanes go in groups of eight: im2col GEMM loads repeat with that
+    // period, as whole-group broadcasts or unit-stride runs. A uniform
+    // group costs one lane's work; an aligned unit-stride group one
+    // lookup per transaction it covers. Anything else takes the
+    // per-lane path. Either way transactions appear in lane-major,
+    // then register, order of their first word.
+    constexpr unsigned group = 8;
+    const std::uint64_t shared_upper = upperBits(lane_addr[0]);
+    bool mixed_upper = false;
+    for (unsigned g = 0; g < wavefrontSize; g += group) {
+        const Addr *a = &lane_addr[g];
+        const Addr a0 = a[0];
+        bool uniform = true, stride = true;
+        for (unsigned i = 1; i < group; ++i) {
+            uniform &= a[i] == a0;
+            stride &= a[i] == a0 + i * lane_span;
+        }
+        if (uniform) {
+            mixed_upper |= upperBits(a0) != shared_upper;
+            addLanes(a0, LaneMask(0xff) << g);
+        } else if (stride && a0 % lane_span == 0) {
+            // Upper bits grow along the run (a wrapping run has lanes of
+            // both extremes), so its ends decide encodability.
+            mixed_upper |= upperBits(a0) != shared_upper ||
+                           upperBits(a[group - 1]) != shared_upper;
+            // Aligned lanes never straddle: each transaction takes a run
+            // of whole lanes.
+            for (unsigned i = 0; i < group;) {
+                const Addr lo = a0 + i * lane_span;
+                const Addr ta = txAlign(lo);
+                const unsigned n = std::min<unsigned>(
+                    group - i,
+                    static_cast<unsigned>((ta + transactionSize - lo) /
+                                          lane_span));
+                PendingLoad::Tx &tx = txAt(ta);
+                const LaneMask run = ((LaneMask(1) << n) - 1) << (g + i);
+                for (unsigned r = 0; r < nregs; ++r)
+                    tx.words[r] |= run;
+                i += n;
+            }
+        } else {
+            for (unsigned i = 0; i < group; ++i) {
+                mixed_upper |= upperBits(a[i]) != shared_upper;
+                addLanes(a[i], LaneMask(1) << (g + i));
+            }
+        }
+    }
+    for (PendingLoad::Tx &tx : txs)
+        tx.unresolved = tx.wordCount();
+    return mixed_upper;
+}
+
+
 void
 LazyUnit::record(Wavefront &wave, const Instruction &inst,
                  const std::array<Addr, wavefrontSize> &lane_addr)
 {
     const unsigned nregs = loadDstRegs(inst.op);
-    const unsigned bytes_per_lane = loadBytes(inst.op);
     panic_if(nregs > std::tuple_size_v<RegMasks>,
              "%s writes %u registers; the Lazy Unit tracks at most %zu",
              opcodeName(inst.op).c_str(), nregs,
              std::tuple_size_v<RegMasks>);
 
-    std::unique_ptr<PendingLoad> fresh;
     if (load_pool_.empty()) {
-        fresh = std::make_unique<PendingLoad>();
-    } else {
-        fresh = std::move(load_pool_.back());
-        load_pool_.pop_back();
+        load_chunks_.push_back(std::make_unique<PendingLoad[]>(loadChunk));
+        for (unsigned i = loadChunk; i-- > 0;)
+            load_pool_.push_back(&load_chunks_.back()[i]);
     }
-    PendingLoad &pl = wave.emplacePending(std::move(fresh));
+    PendingLoad &pl = wave.emplacePending(*load_pool_.back());
+    load_pool_.pop_back();
     pl.op = inst.op;
     pl.firstDst = inst.dst;
     pl.numRegs = nregs;
     pl.laneAddr = lane_addr;
     pl.recordTick = now();
 
-    // Give every (reg, lane) word to its covering transaction; the
-    // transactions appear in lane-major, then register, order of their
-    // first word. A lane's words are contiguous, so when its whole span
-    // lies in one transaction all its register bits are set with one
-    // lookup. Consecutive lanes almost always hit the same transaction
-    // (unit-stride or broadcast loads), so remember the last one and only
-    // fall back to the linear search on an address change.
-    const unsigned bytes_per_word =
-        std::min(bytes_per_lane, maskGranularity);
-    PendingLoad::Tx *last = nullptr;
-    const auto txAt = [&](Addr ta) -> PendingLoad::Tx & {
-        if (last && last->addr == ta)
-            return *last;
-        auto it = std::find_if(pl.txs.begin(), pl.txs.end(),
-                               [ta](const auto &tx) { return tx.addr == ta; });
-        last = it != pl.txs.end() ? &*it
-                                  : &pl.txs.emplace_back(PendingLoad::Tx{ta});
-        return *last;
-    };
-    const Addr lane_span = 4ull * (nregs - 1) + bytes_per_word;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        const LaneMask bit = LaneMask(1) << lane;
-        const Addr lo = lane_addr[lane];
-        if (txAlign(lo + lane_span - 1) == txAlign(lo)) {
-            PendingLoad::Tx &tx = txAt(txAlign(lo));
-            for (unsigned r = 0; r < nregs; ++r)
-                tx.words[r] |= bit;
-            continue;
-        }
-        for (unsigned r = 0; r < nregs; ++r) {
-            const Addr wa = pl.wordAddr(r, lane);
-            const Addr ta = txAlign(wa);
-            panic_if(txAlign(wa + bytes_per_word - 1) != ta,
-                     "load word straddles a transaction; kernels must "
-                     "use naturally aligned accesses");
-            txAt(ta).words[r] |= bit;
-        }
-    }
-    for (PendingLoad::Tx &tx : pl.txs)
-        tx.unresolved = tx.wordCount();
+    // Encodability (Sec 4.1): lanes whose upper 35 address bits differ
+    // from lane 0's cannot be parked in the register metadata and are
+    // issued without lazy execution (below).
+    const bool any_fallback =
+        loadFootprint(inst.op, lane_addr, scratch_footprint_);
+    // A pooled record's vector grows at most once per load, to the exact
+    // size, instead of step by step while the footprint is built.
+    pl.txs.assign(scratch_footprint_.begin(), scratch_footprint_.end());
     pl.wordsLeft = nregs * wavefrontSize;
 
     // prepareOverwrite just resolved every destination lane (and stalls
@@ -587,18 +652,6 @@ LazyUnit::record(Wavefront &wave, const Instruction &inst,
         panic_if(wave.anyNotReady(inst.dst + r),
                  "recording a load over a busy destination register");
         wave.markAllPending(inst.dst + r);
-    }
-
-    // Encodability (Sec 4.1): lanes whose upper 35 address bits differ
-    // from lane 0's cannot be parked in the register metadata and are
-    // issued without lazy execution.
-    const std::uint64_t shared_upper = upperBits(lane_addr[0]);
-    bool any_fallback = false;
-    for (unsigned lane = 0; lane < wavefrontSize; ++lane) {
-        if (upperBits(lane_addr[lane]) != shared_upper) {
-            any_fallback = true;
-            break;
-        }
     }
 
     wave.claimOwners(pl);
@@ -870,7 +923,8 @@ LazyUnit::finishIfResolved(Wavefront &wave, PendingLoad &pl)
         return;
     // Keep the load (and its transaction vector's heap block) for the
     // next record; emplacePending resets every field.
-    load_pool_.push_back(wave.removePending(pl));
+    wave.removePending(pl);
+    load_pool_.push_back(&pl);
 }
 
 void

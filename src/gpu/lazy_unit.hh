@@ -49,6 +49,18 @@ namespace inject
 class Injector;
 }
 
+/**
+ * A load's footprint (Sec 4.1): clear txs, then partition the load's
+ * (register, lane) words into its 32 B transactions, in lane-major,
+ * then register, order of each transaction's first word, with every
+ * transaction's unresolved count set to its word count. Panics when a
+ * word straddles a transaction. Returns whether some lane's upper
+ * address bits differ from lane 0's (the load is not encodable).
+ */
+bool loadFootprint(Opcode op,
+                   const std::array<Addr, wavefrontSize> &lane_addr,
+                   std::vector<PendingLoad::Tx> &txs);
+
 class LazyUnit
 {
   public:
@@ -245,14 +257,18 @@ class LazyUnit
     std::vector<std::pair<unsigned, unsigned>> scratch_issue_;
     std::array<Addr, wavefrontSize> scratch_lane_addr_{};
     std::vector<Addr> scratch_txs_;
+    std::vector<PendingLoad::Tx> scratch_footprint_;
     std::vector<Addr> scratch_mask_bytes_;
     std::vector<Addr> scratch_mask_txs_;
     /** (id, slot) of each load retire eliminates, sorted by id. */
     std::vector<std::pair<unsigned, unsigned>> scratch_retire_;
     /** Finished PendingLoads, with their transaction vectors' heap
      *  blocks, recycled by record: live plus pooled loads never exceed
-     *  the unit's peak number of live loads. */
-    std::vector<std::unique_ptr<PendingLoad>> load_pool_;
+     *  the unit's peak number of live loads, rounded up to a chunk. */
+    std::vector<PendingLoad *> load_pool_;
+    /** Storage of every load the unit ever made, loadChunk at a time. */
+    std::vector<std::unique_ptr<PendingLoad[]>> load_chunks_;
+    static constexpr unsigned loadChunk = 16;
     Coalescer coalescer_;
 
     Counter &valu_insts_;

@@ -9,13 +9,14 @@ namespace lazygpu
 
 Wavefront::Wavefront(const Kernel &kernel, unsigned wid)
     : kernel_(&kernel), wid_(wid), values_(kernel.numVregs),
-      busy_(kernel.numVregs, 0),
-      susp_(kernel.numVregs, 0), inflight_(kernel.numVregs, 0),
-      zero_(kernel.numVregs, allLanes), owner_(kernel.numVregs, nullptr)
+      regs_(kernel.numVregs)
 {
     // values_ is value-initialised by the vector fill constructor: every
     // word reads 0 without a second zeroing pass; the zero bitmap starts
     // at allLanes to match, and every lane starts Ready.
+    // Room for the live loads of a typical wave up front, so the slot
+    // store does not grow step by step.
+    slots_.reserve(16);
     sregs.assign(kernel.numSregs, 0);
     sregs[0] = wid;
     if (kernel.initSregs)
@@ -23,38 +24,38 @@ Wavefront::Wavefront(const Kernel &kernel, unsigned wid)
 }
 
 PendingLoad &
-Wavefront::emplacePending(std::unique_ptr<PendingLoad> pl)
+Wavefront::emplacePending(PendingLoad &pl)
 {
-    std::vector<PendingLoad::Tx> txs = std::move(pl->txs);
+    std::vector<PendingLoad::Tx> txs = std::move(pl.txs);
     txs.clear();
-    *pl = PendingLoad{};
-    pl->txs = std::move(txs);
-    pl->id = next_pending_id_++;
+    pl = PendingLoad{};
+    pl.txs = std::move(txs);
+    pl.id = next_pending_id_++;
     auto free = std::find(slots_.begin(), slots_.end(), nullptr);
     if (free == slots_.end())
         free = slots_.emplace(free);
-    pl->slot = static_cast<unsigned>(free - slots_.begin());
+    pl.slot = static_cast<unsigned>(free - slots_.begin());
     ++live_pendings_;
-    *free = std::move(pl);
-    return **free;
+    *free = &pl;
+    return pl;
 }
 
 void
 Wavefront::claimOwners(PendingLoad &pl)
 {
     for (unsigned r = pl.firstDst; r < pl.firstDst + pl.numRegs; ++r)
-        owner_[r] = &pl;
+        regs_[r].owner = &pl;
 }
 
-std::unique_ptr<PendingLoad>
+void
 Wavefront::removePending(PendingLoad &pl)
 {
     for (unsigned r = pl.firstDst; r < pl.firstDst + pl.numRegs; ++r) {
-        if (owner_[r] == &pl)
-            owner_[r] = nullptr;
+        if (regs_[r].owner == &pl)
+            regs_[r].owner = nullptr;
     }
     --live_pendings_;
-    return std::move(slots_[pl.slot]);
+    slots_[pl.slot] = nullptr;
 }
 
 } // namespace lazygpu

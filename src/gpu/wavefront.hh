@@ -157,6 +157,8 @@ class Wavefront
 
     unsigned pc = 0;
     unsigned simdId = 0; //!< the SIMD unit this wavefront is pinned to
+    /** Position in its SIMD's dispatch-ordered wave list (the CU's). */
+    unsigned simdPos = 0;
     WaveStatus status = WaveStatus::Ready;
     bool scc = false;
     Tick nextIssue = 0; //!< earliest tick the next instruction may issue
@@ -186,18 +188,18 @@ class Wavefront
     {
         values_[r][lane] = v;
         const LaneMask bit = LaneMask(1) << lane;
-        zero_[r] = (zero_[r] & ~bit) | (LaneMask(v == 0) << lane);
+        regs_[r].zero = (regs_[r].zero & ~bit) | (LaneMask(v == 0) << lane);
     }
 
     RegState
     regState(unsigned r, unsigned lane) const
     {
         const LaneMask bit = LaneMask(1) << lane;
-        if (!(busy_[r] & bit))
+        if (!(regs_[r].busy & bit))
             return RegState::Ready;
-        if (susp_[r] & bit)
+        if (regs_[r].susp & bit)
             return RegState::Suspended;
-        return (inflight_[r] & bit) ? RegState::InFlight
+        return (regs_[r].inflight & bit) ? RegState::InFlight
                                     : RegState::Pending;
     }
 
@@ -205,29 +207,29 @@ class Wavefront
     setRegState(unsigned r, unsigned lane, RegState s)
     {
         const LaneMask bit = LaneMask(1) << lane;
-        busy_[r] = (busy_[r] & ~bit) |
+        regs_[r].busy = (regs_[r].busy & ~bit) |
                    (LaneMask(s != RegState::Ready) << lane);
-        susp_[r] = (susp_[r] & ~bit) |
+        regs_[r].susp = (regs_[r].susp & ~bit) |
                    (LaneMask(s == RegState::Suspended) << lane);
-        inflight_[r] = (inflight_[r] & ~bit) |
+        regs_[r].inflight = (regs_[r].inflight & ~bit) |
                        (LaneMask(s == RegState::InFlight) << lane);
     }
 
     /** Lanes of register r in Pending/InFlight/Suspended state. */
-    LaneMask busyMask(unsigned r) const { return busy_[r]; }
+    LaneMask busyMask(unsigned r) const { return regs_[r].busy; }
     /** Lanes of register r in the (2)-Suspended state. */
-    LaneMask suspendedMask(unsigned r) const { return susp_[r]; }
+    LaneMask suspendedMask(unsigned r) const { return regs_[r].susp; }
     /** Lanes of register r with a request in the memory system. */
-    LaneMask inFlightMask(unsigned r) const { return inflight_[r]; }
+    LaneMask inFlightMask(unsigned r) const { return regs_[r].inflight; }
     /** Lanes of register r recorded but neither issued nor suspended. */
     LaneMask
     pendingMask(unsigned r) const
     {
-        return busy_[r] & ~susp_[r] & ~inflight_[r];
+        return regs_[r].busy & ~regs_[r].susp & ~regs_[r].inflight;
     }
 
     /** Lanes of register r whose word is zero (zero-probe bitmap). */
-    LaneMask zeroMask(unsigned r) const { return zero_[r]; }
+    LaneMask zeroMask(unsigned r) const { return regs_[r].zero; }
 
     // Whole-register value row for the vectorized bulk paths. A caller
     // that writes it directly must restore the zero bitmap (resolveLanes,
@@ -242,25 +244,25 @@ class Wavefront
     void
     markAllPending(unsigned r)
     {
-        busy_[r] = allLanes;
-        susp_[r] = 0;
-        inflight_[r] = 0;
+        regs_[r].busy = allLanes;
+        regs_[r].susp = 0;
+        regs_[r].inflight = 0;
     }
 
     /** Bulk Pending -> Suspended for the lanes in m. */
-    void suspendLanes(unsigned r, LaneMask m) { susp_[r] |= m; }
+    void suspendLanes(unsigned r, LaneMask m) { regs_[r].susp |= m; }
 
     /** Bulk Suspended -> Pending (requalification) for the lanes in m. */
-    void requalifyLanes(unsigned r, LaneMask m) { susp_[r] &= ~m; }
+    void requalifyLanes(unsigned r, LaneMask m) { regs_[r].susp &= ~m; }
 
     /** Bulk issue: the busy lanes of m (Pending or Suspended) become
      *  InFlight. */
     void
     markInFlight(unsigned r, LaneMask m)
     {
-        m &= busy_[r];
-        susp_[r] &= ~m;
-        inflight_[r] |= m;
+        m &= regs_[r].busy;
+        regs_[r].susp &= ~m;
+        regs_[r].inflight |= m;
     }
 
     /**
@@ -271,27 +273,27 @@ class Wavefront
     void
     resolveLanes(unsigned r, LaneMask m, LaneMask zero_bits)
     {
-        busy_[r] &= ~m;
-        susp_[r] &= ~m;
-        inflight_[r] &= ~m;
-        zero_[r] = (zero_[r] & ~m) | zero_bits;
+        regs_[r].busy &= ~m;
+        regs_[r].susp &= ~m;
+        regs_[r].inflight &= ~m;
+        regs_[r].zero = (regs_[r].zero & ~m) | zero_bits;
     }
 
     /** Re-derive the zero bitmap after a bulk valueRow write. */
     void
     refreshZeroMask(unsigned r)
     {
-        zero_[r] = isa::zeroLanes(values_[r].data());
+        regs_[r].zero = isa::zeroLanes(values_[r].data());
     }
 
     /** Install a zero bitmap the bulk writer computed alongside. */
-    void setZeroMask(unsigned r, LaneMask m) { zero_[r] = m; }
+    void setZeroMask(unsigned r, LaneMask m) { regs_[r].zero = m; }
 
     /** True if any lane of register r is Pending/InFlight/Suspended. */
-    bool anyNotReady(unsigned r) const { return busy_[r] != 0; }
+    bool anyNotReady(unsigned r) const { return regs_[r].busy != 0; }
 
     /** True if any lane of register r is InFlight. */
-    bool anyInFlight(unsigned r) const { return inflight_[r] != 0; }
+    bool anyInFlight(unsigned r) const { return regs_[r].inflight != 0; }
 
     // --- Pending (lazy) loads -------------------------------------------
     //
@@ -305,20 +307,20 @@ class Wavefront
     bool
     hasPendingOwner(unsigned r) const
     {
-        return r < owner_.size() && owner_[r] != nullptr;
+        return r < regs_.size() && regs_[r].owner != nullptr;
     }
 
     /** The pending load owning register r, or nullptr. */
     PendingLoad *
     pendingFor(unsigned r)
     {
-        return r < owner_.size() ? owner_[r] : nullptr;
+        return r < regs_.size() ? regs_[r].owner : nullptr;
     }
 
     const PendingLoad *
     pendingFor(unsigned r) const
     {
-        return r < owner_.size() ? owner_[r] : nullptr;
+        return r < regs_.size() ? regs_[r].owner : nullptr;
     }
 
     /**
@@ -329,23 +331,23 @@ class Wavefront
     PendingLoad *
     pendingAt(unsigned slot, unsigned id)
     {
-        PendingLoad *pl = slots_[slot].get();
+        PendingLoad *pl = slots_[slot];
         return pl && pl->id == id ? pl : nullptr;
     }
 
     /**
-     * Install pl, a fresh or recycled load, in a free slot with a unique
-     * id and every other field reset (its transaction vector keeps its
-     * capacity, emptied); the caller fills it, then claims register
-     * ownership with claimOwners.
+     * Install pl, a fresh or recycled load the executor owns, in a free
+     * slot with a unique id and every other field reset (its transaction
+     * vector keeps its capacity, emptied); the caller fills it, then
+     * claims register ownership with claimOwners.
      */
-    PendingLoad &emplacePending(std::unique_ptr<PendingLoad> pl);
+    PendingLoad &emplacePending(PendingLoad &pl);
 
     /** Point pl's destination registers at it. */
     void claimOwners(PendingLoad &pl);
 
-    /** Remove a fully resolved pending load, handing it back for reuse. */
-    std::unique_ptr<PendingLoad> removePending(PendingLoad &pl);
+    /** Remove a fully resolved pending load (the executor reuses it). */
+    void removePending(PendingLoad &pl);
 
     /** Number of live pending loads. */
     unsigned pendingCount() const { return live_pendings_; }
@@ -355,7 +357,7 @@ class Wavefront
     void
     forEachPending(F &&f) const
     {
-        for (const auto &pl : slots_) {
+        for (const PendingLoad *pl : slots_) {
             if (pl)
                 f(*pl);
         }
@@ -381,17 +383,23 @@ class Wavefront
   private:
     const Kernel *kernel_;
     unsigned wid_;
+    /** One vreg's scoreboard bitmaps and owner, side by side. */
+    struct RegBits
+    {
+        LaneMask busy = 0;     //!< non-Ready lanes
+        LaneMask susp = 0;     //!< Suspended lanes
+        LaneMask inflight = 0; //!< InFlight lanes
+        LaneMask zero = allLanes; //!< zero-valued lanes
+        PendingLoad *owner = nullptr; //!< the pending load owning it
+    };
+
     std::vector<std::array<std::uint32_t, wavefrontSize>> values_;
-    std::vector<LaneMask> busy_;     //!< non-Ready lanes per vreg
-    std::vector<LaneMask> susp_;     //!< Suspended lanes per vreg
-    std::vector<LaneMask> inflight_; //!< InFlight lanes per vreg
-    std::vector<LaneMask> zero_;     //!< zero-valued lanes per vreg
-    /** Pending-load slots, null when free. */
-    std::vector<std::unique_ptr<PendingLoad>> slots_;
+    std::vector<RegBits> regs_;
+    /** Pending-load slots, null when free (the executor owns the
+     *  loads). */
+    std::vector<PendingLoad *> slots_;
     unsigned live_pendings_ = 0;
     unsigned next_pending_id_ = 0;
-    /** reg -> the pending load that owns it, or nullptr. */
-    std::vector<PendingLoad *> owner_;
 };
 
 } // namespace lazygpu

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -18,7 +19,9 @@ Cache::Cache(Engine &engine, StatsRegistry &stats, const std::string &name,
       mshr_limit_(params.mshrs),
       bytes_per_cycle_(std::max(1u, params.bytesPerCycle)),
       latency_(params.latency), policy_(policy), below_(below),
-      lines_(num_sets_ * assoc_),
+      line_shift_(static_cast<unsigned>(std::countr_zero(params.lineSize))),
+      sets_pow2_(std::has_single_bit(num_sets_)),
+      lines_(num_sets_ * assoc_), mshrs_(mshr_limit_),
       hits_(stats.counter(name + ".hits")),
       misses_(stats.counter(name + ".misses")),
       write_throughs_(stats.counter(name + ".write_throughs")),
@@ -27,12 +30,17 @@ Cache::Cache(Engine &engine, StatsRegistry &stats, const std::string &name,
 {
     panic_if(params.size == 0, "%s: zero-sized cache instantiated",
              name.c_str());
-}
-
-std::uint64_t
-Cache::setIndex(Addr line_addr) const
-{
-    return (line_addr / line_size_) % num_sets_;
+    panic_if(!std::has_single_bit(line_size_),
+             "%s: line size %u is not a power of two", name.c_str(),
+             line_size_);
+    mshr_free_.reserve(mshr_limit_);
+    for (unsigned i = mshr_limit_; i-- > 0;)
+        mshr_free_.push_back(i);
+    // At most half full, so a probe sequence stays short.
+    const unsigned index_size =
+        std::bit_ceil(std::max(2u, 2 * mshr_limit_));
+    mshr_index_.assign(index_size, 0);
+    index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(index_size));
 }
 
 Cache::Line *
@@ -96,74 +104,45 @@ Cache::access(const MemAccess &acc, Completion done)
     port_busy_ = start + service;
 
     if (start == now) {
-        lookup(acc, std::move(done));
+        lookup(acc, Waiter{done});
     } else {
-        engine_.schedule(start, [this, acc, cb = std::move(done)]() mutable {
-            lookup(acc, std::move(cb));
+        engine_.schedule(start, [this, acc, done]() {
+            lookup(acc, Waiter{done});
         });
     }
 }
 
 void
-Cache::lookup(const MemAccess &acc, Completion done)
+Cache::lookup(const MemAccess &acc, const Waiter &w)
 {
     if (acc.write)
-        handleWrite(acc, std::move(done));
+        handleWrite(acc, w);
     else
-        handleRead(lineAddr(acc.addr), std::move(done));
+        handleRead(lineAddr(acc.addr), w);
 }
 
 void
-Cache::handleRead(Addr line_addr, Completion done)
+Cache::handleRead(Addr line_addr, const Waiter &w)
 {
     if (Line *line = findLine(line_addr)) {
         ++hits_;
         line->lruStamp = ++lru_clock_;
-        if (done)
-            engine_.scheduleIn(latency_, std::move(done));
+        respond(line_addr, w);
         return;
     }
     ++misses_;
-
-    if (auto it = mshrs_.find(line_addr); it != mshrs_.end()) {
-        // Secondary miss: ride the outstanding fill.
-        if (done)
-            it->second.waiters.push_back(std::move(done));
-        return;
-    }
-
-    if (mshrs_.size() >= mshr_limit_) {
-        // Structural stall: this is the congestion LazyCore relieves.
-        const Tick enq = engine_.now();
-        pending_.emplace_back(
-            MemAccess{line_addr, line_size_, false},
-            [this, enq, cb = std::move(done)]() mutable {
-                mshr_wait_.sample(
-                    static_cast<double>(engine_.now() - enq));
-                if (cb)
-                    cb();
-            });
-        traceDepth();
-        return;
-    }
-
-    Mshr &mshr = mshrs_[line_addr];
-    if (done)
-        mshr.waiters.push_back(std::move(done));
-    traceDepth();
-    below_.access(MemAccess{line_addr, line_size_, false},
-                  [this, line_addr]() { fill(line_addr); });
+    miss(MemAccess{line_addr, line_size_, false}, line_addr, w);
 }
 
 void
-Cache::handleWrite(const MemAccess &acc, Completion done)
+Cache::handleWrite(const MemAccess &acc, Waiter w)
 {
     if (policy_ == WritePolicy::WriteAround) {
         // Writes bypass this level entirely; drop any stale local copy.
         if (Line *line = findLine(lineAddr(acc.addr)))
             line->valid = false;
         ++write_throughs_;
-        below_.access(acc, std::move(done));
+        below_.access(acc, w.done);
         return;
     }
 
@@ -173,42 +152,64 @@ Cache::handleWrite(const MemAccess &acc, Completion done)
         ++hits_;
         line->dirty = true;
         line->lruStamp = ++lru_clock_;
-        if (done)
-            engine_.scheduleIn(latency_, std::move(done));
+        respond(la, w);
         return;
     }
     ++misses_;
+    // The line is marked dirty when the fill answers this write.
+    w.dirty = true;
+    miss(MemAccess{acc.addr, acc.size, true}, la, w);
+}
 
-    auto mark_dirty = [this, la, cb = std::move(done)]() mutable {
-        if (Line *line = findLine(la))
-            line->dirty = true;
-        if (cb)
-            cb();
-    };
-
-    if (auto it = mshrs_.find(la); it != mshrs_.end()) {
-        it->second.waiters.push_back(std::move(mark_dirty));
+void
+Cache::miss(const MemAccess &acc, Addr line_addr, const Waiter &w)
+{
+    if (const std::uint32_t slot = findMshr(line_addr); slot != noIndex) {
+        // Secondary miss: ride the outstanding fill.
+        if (w.live())
+            pushWaiter(mshrs_[slot], w);
         return;
     }
-    if (mshrs_.size() >= mshr_limit_) {
-        // Structural stall: record the wait exactly like the read path so
-        // the congestion distribution covers both request kinds.
-        const Tick enq = engine_.now();
-        pending_.emplace_back(
-            MemAccess{acc.addr, acc.size, true},
-            [this, enq, cb = std::move(mark_dirty)]() mutable {
-                mshr_wait_.sample(
-                    static_cast<double>(engine_.now() - enq));
-                cb();
-            });
+    if (mshrs_used_ >= mshr_limit_) {
+        // Structural stall: this is the congestion LazyCore relieves.
+        park(acc, w);
         traceDepth();
         return;
     }
-    Mshr &mshr = mshrs_[la];
-    mshr.waiters.push_back(std::move(mark_dirty));
+    Mshr &mshr = allocMshr(line_addr);
+    if (w.live())
+        pushWaiter(mshr, w);
     traceDepth();
-    below_.access(MemAccess{la, line_size_, false},
-                  [this, la]() { fill(la); });
+    below_.access(MemAccess{line_addr, line_size_, false},
+                  [this, line_addr]() { fill(line_addr); });
+}
+
+void
+Cache::respond(Addr line_addr, const Waiter &w)
+{
+    if (w.dirty || w.stalledAt != notStalled) {
+        engine_.scheduleIn(latency_,
+                           [this, line_addr, w]() { fire(line_addr, w); });
+    } else if (w.done) {
+        engine_.scheduleIn(latency_, w.done);
+    }
+}
+
+void
+Cache::fire(Addr line_addr, const Waiter &w)
+{
+    if (w.dirty) {
+        if (Line *line = findLine(line_addr))
+            line->dirty = true;
+    }
+    if (w.stalledAt != notStalled) {
+        mshr_wait_.sample(
+            static_cast<double>(engine_.now() - w.stalledAt));
+    }
+    if (w.done) {
+        Completion done = w.done;
+        done();
+    }
 }
 
 void
@@ -225,15 +226,17 @@ Cache::fill(Addr line_addr)
     victim.dirty = false;
     victim.lruStamp = ++lru_clock_;
 
-    auto it = mshrs_.find(line_addr);
-    panic_if(it == mshrs_.end(), "%s: fill without an MSHR",
-             name_.c_str());
-    std::vector<Completion> waiters = std::move(it->second.waiters);
-    mshrs_.erase(it);
-
-    for (auto &w : waiters) {
-        if (w)
-            engine_.scheduleIn(latency_, std::move(w));
+    const std::uint32_t slot = findMshr(line_addr);
+    panic_if(slot == noIndex, "%s: fill without an MSHR", name_.c_str());
+    std::uint32_t node = mshrs_[slot].head;
+    freeMshr(line_addr);
+    while (node != noIndex) {
+        WaiterNode &n = waiter_nodes_[node];
+        respond(line_addr, n.waiter);
+        const std::uint32_t next = n.next;
+        n.next = free_waiter_;
+        free_waiter_ = node;
+        node = next;
     }
     drainPending();
     traceDepth();
@@ -242,19 +245,119 @@ Cache::fill(Addr line_addr)
 void
 Cache::drainPending()
 {
-    while (!pending_.empty() && mshrs_.size() < mshr_limit_) {
-        auto [acc, cb] = std::move(pending_.front());
-        pending_.pop_front();
-        lookup(acc, std::move(cb));
+    while (pending_count_ != 0 && mshrs_used_ < mshr_limit_) {
+        const Parked p = pending_[pending_head_];
+        pending_head_ = (pending_head_ + 1) & (pending_.size() - 1);
+        --pending_count_;
+        lookup(p.acc, p.waiter);
         // A pending hit or coalesce does not consume an MSHR, so keep
         // draining; the loop terminates because each iteration pops.
     }
 }
 
 void
+Cache::park(const MemAccess &acc, const Waiter &w)
+{
+    // Drained requests always find a free MSHR, so no request parks
+    // twice (its one stall sample covers the whole wait).
+    panic_if(w.stalledAt != notStalled, "%s: a request parked twice",
+             name_.c_str());
+    if (pending_count_ == pending_.size()) {
+        std::vector<Parked> grown(std::max<std::size_t>(
+            16, 2 * pending_.size()));
+        for (std::size_t i = 0; i < pending_count_; ++i) {
+            grown[i] =
+                pending_[(pending_head_ + i) & (pending_.size() - 1)];
+        }
+        pending_ = std::move(grown);
+        pending_head_ = 0;
+    }
+    Parked &p =
+        pending_[(pending_head_ + pending_count_) & (pending_.size() - 1)];
+    p.acc = acc;
+    p.waiter = w;
+    p.waiter.stalledAt = engine_.now();
+    ++pending_count_;
+}
+
+std::uint32_t
+Cache::findMshr(Addr line_addr) const
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshr_index_.size() - 1);
+    for (std::uint32_t i = indexHome(line_addr);; i = (i + 1) & mask) {
+        const std::uint32_t e = mshr_index_[i];
+        if (e == 0)
+            return noIndex;
+        if (mshrs_[e - 1].lineAddr == line_addr)
+            return e - 1;
+    }
+}
+
+Cache::Mshr &
+Cache::allocMshr(Addr line_addr)
+{
+    const std::uint32_t slot = mshr_free_.back();
+    mshr_free_.pop_back();
+    ++mshrs_used_;
+    mshrs_[slot] = Mshr{line_addr, noIndex, noIndex};
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshr_index_.size() - 1);
+    std::uint32_t i = indexHome(line_addr);
+    while (mshr_index_[i] != 0)
+        i = (i + 1) & mask;
+    mshr_index_[i] = slot + 1;
+    return mshrs_[slot];
+}
+
+void
+Cache::freeMshr(Addr line_addr)
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshr_index_.size() - 1);
+    std::uint32_t i = indexHome(line_addr);
+    while (mshrs_[mshr_index_[i] - 1].lineAddr != line_addr)
+        i = (i + 1) & mask;
+    mshr_free_.push_back(mshr_index_[i] - 1);
+    --mshrs_used_;
+    // Backward-shift deletion: pull later entries of the probe run into
+    // the hole unless their home lies cyclically in (hole, entry].
+    for (std::uint32_t j = (i + 1) & mask; mshr_index_[j] != 0;
+         j = (j + 1) & mask) {
+        const std::uint32_t home =
+            indexHome(mshrs_[mshr_index_[j] - 1].lineAddr);
+        const bool stays = i <= j ? (i < home && home <= j)
+                                  : (i < home || home <= j);
+        if (!stays) {
+            mshr_index_[i] = mshr_index_[j];
+            i = j;
+        }
+    }
+    mshr_index_[i] = 0;
+}
+
+void
+Cache::pushWaiter(Mshr &m, const Waiter &w)
+{
+    std::uint32_t n = free_waiter_;
+    if (n != noIndex) {
+        free_waiter_ = waiter_nodes_[n].next;
+        waiter_nodes_[n] = WaiterNode{w, noIndex};
+    } else {
+        n = static_cast<std::uint32_t>(waiter_nodes_.size());
+        waiter_nodes_.push_back(WaiterNode{w, noIndex});
+    }
+    if (m.tail == noIndex)
+        m.head = n;
+    else
+        waiter_nodes_[m.tail].next = n;
+    m.tail = n;
+}
+
+void
 Cache::checkpointTo(ByteWriter &w) const
 {
-    panic_if(!mshrs_.empty() || !pending_.empty(),
+    panic_if(mshrs_used_ != 0 || pending_count_ != 0,
              "checkpointing cache '%s' with transactions in flight",
              name_.c_str());
     w.tag("CACH");
@@ -281,7 +384,7 @@ Cache::checkpointTo(ByteWriter &w) const
 void
 Cache::restoreFrom(ByteReader &r)
 {
-    panic_if(!mshrs_.empty() || !pending_.empty(),
+    panic_if(mshrs_used_ != 0 || pending_count_ != 0,
              "restoring cache '%s' with transactions in flight",
              name_.c_str());
     if (!r.tag("CACH"))

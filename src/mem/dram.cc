@@ -1,7 +1,6 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
-#include <utility>
 
 namespace lazygpu
 {
@@ -33,10 +32,8 @@ DramChannel::access(const MemAccess &acc, Completion done)
     else
         ++reads_;
 
-    if (done) {
-        engine_.schedule(start + service + access_latency_,
-                         std::move(done));
-    }
+    if (done)
+        engine_.schedule(start + service + access_latency_, done);
 }
 
 } // namespace lazygpu

@@ -1,7 +1,6 @@
 #include "mem/hierarchy.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/domains.hh"
 #include "sim/logging.hh"
@@ -139,7 +138,7 @@ MemoryHierarchy::accessData(unsigned sa, Addr addr, unsigned size,
                             bool write, Completion done)
 {
     panic_if(sa >= l1_.size(), "shader array %u out of range", sa);
-    l1_[sa]->access(MemAccess{addr, size, write}, std::move(done));
+    l1_[sa]->access(MemAccess{addr, size, write}, done);
 }
 
 void
@@ -149,7 +148,7 @@ MemoryHierarchy::accessMask(unsigned sa, Addr mask_addr, bool write,
     panic_if(l1_zero_.empty(),
              "mask access on a configuration without Zero Caches");
     l1_zero_[sa]->access(MemAccess{mask_addr, transactionSize, write},
-                         std::move(done));
+                         done);
 }
 
 void

@@ -266,11 +266,18 @@ GlobalMemory::contentHash() const
 std::uint8_t
 GlobalMemory::zeroMaskByte(Addr a) const
 {
-    Addr block = a & ~Addr(transactionSize - 1);
+    // A transaction-aligned block never straddles a page: one lookup
+    // covers its eight words.
+    const Addr block = a & ~Addr(transactionSize - 1);
+    const std::uint8_t *page = pageFor(block);
+    if (!page)
+        return 0xff; // untouched pages read as zero
+    const std::uint8_t *p = page + (block & (pageSize - 1));
     std::uint8_t mask = 0;
     for (unsigned w = 0; w < transactionSize / maskGranularity; ++w) {
-        if (isZeroWord(block + w * maskGranularity))
-            mask |= static_cast<std::uint8_t>(1u << w);
+        std::uint32_t v;
+        std::memcpy(&v, p + w * maskGranularity, sizeof(v));
+        mask |= static_cast<std::uint8_t>((v == 0 ? 1u : 0u) << w);
     }
     return mask;
 }

@@ -240,6 +240,11 @@ class GlobalMemory
     pageForWrite(Addr a)
     {
         const Addr key = a >> pageShift;
+        // The read cache's fast path: a cached page is materialised
+        // unless it was cached as absent (nullptr). In concurrent mode
+        // cached_key_ never matches, as above.
+        if (key == cached_key_ && cached_page_)
+            return const_cast<std::uint8_t *>(cached_page_);
         if (concurrent_)
             return pageForWriteConcurrent(key);
         return pageForWriteMiss(key);

@@ -98,7 +98,7 @@ DomainScheduler::CrossingPool::give(Crossing *c)
 
 void
 DomainScheduler::enqueueRequest(unsigned sa, unsigned router,
-                                const MemAccess &acc, Completion &&done)
+                                const MemAccess &acc, Completion done)
 {
     SaDomain &d = *sa_[sa];
     Crossing *c = d.pool.take();
@@ -106,7 +106,7 @@ DomainScheduler::enqueueRequest(unsigned sa, unsigned router,
     c->sa = sa;
     c->router = router;
     c->acc = acc;
-    c->done = std::move(done);
+    c->done = done;
     d.outbox.push(c);
 }
 
@@ -155,8 +155,6 @@ DomainScheduler::routeRequests()
             continue;
         }
         c->bank = r.bank;
-        // The completion handed to the bank side captures 16 trivially
-        // copyable bytes, so std::function stores it inline.
         be.schedule(when, [this, target, c]() {
             target->access(c->acc, [this, c]() { respond(c); });
         });
@@ -204,10 +202,7 @@ DomainScheduler::deliverResponses()
         // SA's window end, but clamp anyway (see routeRequests) so the
         // maxTick-saturated window edge can never schedule in the past.
         SaDomain &sd = *sa_[c->sa];
-        sd.engine.schedule(std::max(c->when, sd.engine.now()),
-                           [done = std::move(c->done)]() mutable {
-                               done();
-                           });
+        sd.engine.schedule(std::max(c->when, sd.engine.now()), c->done);
         sd.pool.give(c);
     }
 }

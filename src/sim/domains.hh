@@ -298,7 +298,7 @@ class DomainScheduler
         void
         access(const MemAccess &acc, Completion done) override
         {
-            owner_.enqueueRequest(sa_, router_, acc, std::move(done));
+            owner_.enqueueRequest(sa_, router_, acc, done);
         }
 
       private:
@@ -326,7 +326,7 @@ class DomainScheduler
     };
 
     void enqueueRequest(unsigned sa, unsigned router, const MemAccess &acc,
-                        Completion &&done);
+                        Completion done);
     /** A bank-side access completed: queue its response for the SA. */
     void respond(Crossing *c);
     /** Heartbeat + activity ring + cancel check (barrier and rabbit). */

@@ -94,7 +94,9 @@ TEST(DramChannel, BandwidthOccupancySerialisesBursts)
     std::vector<Tick> done;
     for (int i = 0; i < 4; ++i) {
         dram.access(MemAccess{Addr(i) * 32, 32, false},
-                    [&, i]() { done.push_back(f.engine.now()); });
+                    [d = &done, e = &f.engine]() {
+                        d->push_back(e->now());
+                    });
     }
     f.engine.run();
     ASSERT_EQ(4u, done.size());
@@ -208,6 +210,56 @@ TEST_F(CacheFixture, MshrOverflowSamplesWaitOnBothPaths)
     f_.engine.run();
     EXPECT_EQ(4, completions);
     EXPECT_EQ(2u, f_.stats.dist("c.mshr_wait").count());
+}
+
+TEST_F(CacheFixture, StallSecondaryAndDirtyPathsKeepTheirTicks)
+{
+    // One burst through every MSHR path of a write-back cache with two
+    // MSHRs: primary and secondary read misses, a write-allocate miss
+    // and a write coalescing into it, then two reads and a write that
+    // find the MSHRs full and park in the FIFO (the last read of the
+    // burst rides a parked line's fill once it drains). Completion
+    // ticks, the stall samples and the dirty write-backs are pinned.
+    struct Log
+    {
+        Engine *engine;
+        std::vector<std::pair<unsigned, Tick>> done;
+    } log{&f_.engine, {}};
+    const std::pair<Addr, bool> burst[] = {
+        {0x6000, false}, {0x6020, false}, {0x6040, true}, {0x6050, true},
+        {0x6080, false}, {0x60C0, true},  {0x6090, false},
+    };
+    for (unsigned i = 0; i < std::size(burst); ++i) {
+        Log *l = &log;
+        cache_.access(MemAccess{burst[i].first, 32, burst[i].second},
+                      [l, i]() {
+                          l->done.emplace_back(i, l->engine->now());
+                      });
+    }
+    f_.engine.run();
+    const std::vector<std::pair<unsigned, Tick>> want = {
+        {0, 112}, {1, 112}, {2, 114}, {3, 114},
+        {4, 214}, {6, 214}, {5, 216},
+    };
+    EXPECT_EQ(want, log.done);
+    const Distribution &wait = f_.stats.dist("c.mshr_wait");
+    EXPECT_EQ(3u, wait.count());
+    EXPECT_EQ(629.0, wait.sum());
+    EXPECT_EQ(211.0, wait.max());
+    EXPECT_EQ(1u, f_.stats.counter("c.hits").value());
+    EXPECT_EQ(9u, f_.stats.counter("c.misses").value());
+    EXPECT_EQ(4u, f_.stats.counter("d.reads").value());
+
+    // Both written lines are dirty: evicting their sets writes each
+    // back exactly once, and no clean line is written.
+    for (Addr w = 1; w <= 4; ++w) {
+        timedAccess(f_.engine, cache_, 0x6040 + w * 0x400);
+        timedAccess(f_.engine, cache_, 0x60C0 + w * 0x400);
+    }
+    f_.engine.run();
+    EXPECT_EQ(2u, f_.stats.counter("c.evictions").value());
+    EXPECT_EQ(2u, f_.stats.counter("d.writes").value());
+    EXPECT_EQ(1112u, f_.engine.now());
 }
 
 TEST_F(CacheFixture, LruEvictsTheColdestWay)

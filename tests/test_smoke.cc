@@ -127,5 +127,35 @@ TEST(Smoke, LazyIsNoSlowerThanBaselineOnDenseMul)
     EXPECT_LT(t_base, 3 * t_lazy);
 }
 
+TEST(WavePick, EqualDispatchTicksIssueOldestFirst)
+{
+    // Four waves dispatched in the same tick share one SIMD. The pick
+    // is greedy-oldest: among the eligible waves the one dispatched
+    // first (the lowest wid here) issues, so wave 0 runs its VALU chain
+    // back to back and retires before wave 1 starts its second
+    // instruction. Each wave's last issue slot is pinned.
+    GlobalMemory mem;
+    KernelBuilder kb("valu_chain");
+    kb.threadId(0);
+    for (unsigned i = 0; i < 5; ++i)
+        kb.valu(Opcode::VShlU32, 1, Src::vreg(0), Src::imm(1));
+    const Kernel kernel = kb.build(4);
+
+    GpuConfig cfg = GpuConfig::r9Nano();
+    cfg.numShaderArrays = 1;
+    cfg.cusPerSa = 1;
+    cfg.simdPerCu = 1;
+    cfg.l2Banks = 1;
+    Gpu gpu(cfg, mem);
+    std::vector<std::pair<unsigned, Tick>> retired;
+    gpu.setRetireObserver([&retired](const Wavefront &w) {
+        retired.emplace_back(w.wid(), w.nextIssue);
+    });
+    gpu.run(kernel);
+    const std::vector<std::pair<unsigned, Tick>> want = {
+        {0, 24}, {1, 49}, {2, 74}, {3, 99}};
+    EXPECT_EQ(want, retired);
+}
+
 } // namespace
 } // namespace lazygpu
